@@ -5,6 +5,7 @@
 #include <map>
 
 #include "faults/plan.hh"
+#include "query/engine.hh"
 #include "raytracer/scenes.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -44,6 +45,35 @@ buildCamera(const RunConfig &cfg)
         return rt::sphereGridCamera(cfg.sceneParam);
     }
     return rt::moderateCamera();
+}
+
+/**
+ * Mean WORK utilization of the servant streams over the measurement
+ * phase, from one pass of the query engine's utilization fold with
+ * the phase as its evaluation range. A servant without a row never
+ * worked and counts as 0.
+ */
+double
+measuredServantUtilization(const RunResult &result)
+{
+    query::Query utilization;
+    utilization.fold.kind = query::FoldKind::Utilization;
+    utilization.fold.state = "WORK";
+    const query::Table table =
+        query::runPhaseQuery(result.events, result.dictionary,
+                             utilization, result.phaseBegin,
+                             result.phaseEnd);
+    std::map<std::string, double> byStream;
+    for (const auto &row : table.rows)
+        byStream[row[0].text] = row[2].real;
+    double sum = 0.0;
+    for (unsigned stream : result.servantStreams) {
+        const auto it =
+            byStream.find(result.dictionary.streamName(stream));
+        if (it != byStream.end())
+            sum += it->second;
+    }
+    return sum / static_cast<double>(result.servantStreams.size());
 }
 
 } // namespace
@@ -349,13 +379,10 @@ runRayTracer(const RunConfig &cfg)
         result.servantUtilizationActual =
             sum / static_cast<double>(cfg.numServants);
     }
-    if (!result.events.empty() &&
-        result.phaseEnd > result.phaseBegin) {
-        const auto activity = result.activity();
-        result.servantUtilizationMeasured = activity.meanUtilization(
-            result.servantStreams, "WORK", result.phaseBegin,
-            result.phaseEnd);
-    }
+    if (!result.events.empty() && !result.servantStreams.empty() &&
+        result.phaseEnd > result.phaseBegin)
+        result.servantUtilizationMeasured =
+            measuredServantUtilization(result);
 
     result.jobsSent = truth.jobsSent;
     result.resultsReceived = truth.resultsReceived;

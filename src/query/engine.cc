@@ -221,7 +221,7 @@ FilterChain::filterDecodeBatch(const unsigned char *raw,
 FoldContext
 makeFoldContext(const Query &query,
                 const trace::EventDictionary &dict,
-                sim::Tick trace_end)
+                sim::Tick trace_end, const FilterSpec *range)
 {
     FoldContext ctx;
     ctx.dict = &dict;
@@ -233,8 +233,8 @@ makeFoldContext(const Query &query,
         query.fold.kind == FoldKind::Utilization)
         ctx.stateTable = StateTable::compile(dict);
     // The narrowest explicit time range across all filter stages
-    // becomes the fold's evaluation range.
-    for (const FilterSpec &spec : query.filters) {
+    // (and the extra range) becomes the fold's evaluation range.
+    const auto narrow = [&ctx](const FilterSpec &spec) {
         if (spec.hasFrom &&
             (!ctx.hasFrom || spec.from > ctx.from)) {
             ctx.hasFrom = true;
@@ -244,27 +244,32 @@ makeFoldContext(const Query &query,
             ctx.hasTo = true;
             ctx.to = spec.to;
         }
-    }
+    };
+    for (const FilterSpec &spec : query.filters)
+        narrow(spec);
+    if (range)
+        narrow(*range);
     return ctx;
 }
 
 QueryEngine::QueryEngine(const Query &query,
                          const trace::EventDictionary &dict,
-                         sim::Tick trace_end)
+                         sim::Tick trace_end, const FilterSpec *range)
     : chain(query, dict),
       fold(makeFold(query.fold,
-                    makeFoldContext(query, dict, trace_end)))
+                    makeFoldContext(query, dict, trace_end, range)))
 {
 }
 
-void
+bool
 QueryEngine::onEvent(const trace::TraceEvent &ev)
 {
     ++seen;
     if (!chain.accepts(ev))
-        return;
+        return false;
     ++accepted;
     fold->onEvent(ev);
+    return true;
 }
 
 Table
@@ -279,6 +284,26 @@ runQuery(const std::vector<trace::TraceEvent> &events,
          sim::Tick trace_end)
 {
     QueryEngine engine(query, dict, trace_end);
+    for (const auto &ev : events)
+        engine.onEvent(ev);
+    return engine.finish();
+}
+
+Table
+runPhaseQuery(const std::vector<trace::TraceEvent> &events,
+              const trace::EventDictionary &dict, const Query &query,
+              sim::Tick begin, sim::Tick end)
+{
+    FilterSpec phase;
+    phase.hasFrom = true;
+    phase.from = begin;
+    phase.hasTo = true;
+    phase.to = end;
+    Query effective = query;
+    if (query.fold.kind != FoldKind::States &&
+        query.fold.kind != FoldKind::Utilization)
+        effective.filters.push_back(phase);
+    QueryEngine engine(effective, dict, end, &phase);
     for (const auto &ev : events)
         engine.onEvent(ev);
     return engine.finish();

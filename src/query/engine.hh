@@ -107,13 +107,15 @@ class FilterChain
 
 /**
  * The fold context a query implies: dictionary, window spec, the
- * narrowest explicit time range across the filter stages, and the
+ * narrowest explicit time range across the filter stages (and
+ * @p range, an evaluation range that filters nothing), and the
  * trace-end close time. Serial and sharded execution derive their
  * (identical) context through this one function.
  */
 FoldContext makeFoldContext(const Query &query,
                             const trace::EventDictionary &dict,
-                            sim::Tick trace_end);
+                            sim::Tick trace_end,
+                            const FilterSpec *range = nullptr);
 
 class QueryEngine
 {
@@ -121,13 +123,26 @@ class QueryEngine
     /**
      * @param trace_end close still-open activity states at this
      *        time, like ActivityMap::build(); 0 = last event.
+     * @param range optional evaluation range of the folds that is
+     *        not a filter (see runPhaseQuery).
      */
     QueryEngine(const Query &query,
                 const trace::EventDictionary &dict,
-                sim::Tick trace_end = 0);
+                sim::Tick trace_end = 0,
+                const FilterSpec *range = nullptr);
 
-    /** Feed one event (in trace order). */
-    void onEvent(const trace::TraceEvent &ev);
+    /**
+     * Feed one event (in trace order).
+     * @return whether it passed every filter stage.
+     */
+    bool onEvent(const trace::TraceEvent &ev);
+
+    /** Live preview; see Fold::sealWindowsBefore(). */
+    void
+    sealWindowsBefore(sim::Tick now, const Fold::WindowSink &sink)
+    {
+        fold->sealWindowsBefore(now, sink);
+    }
 
     /** End of stream; call once. */
     Table finish();
@@ -156,6 +171,24 @@ class QueryEngine
 Table runQuery(const std::vector<trace::TraceEvent> &events,
                const trace::EventDictionary &dict, const Query &query,
                sim::Tick trace_end = 0);
+
+/**
+ * Run a query over the range [@p begin, @p end) of an in-memory trace
+ * (a run's measurement phase), evaluated the way
+ * trace::ActivityMap::utilization() evaluates a range. The range
+ * bounds the folds; it is not a `from=`/`to=` filter. The state-based
+ * folds (`states`, `utilization`) still see the events before it, so
+ * a state opened just before @p begin — the Work Begin stamped a few
+ * microseconds before the phase starts — covers the range from its
+ * start; their intervals are clamped to the range, and intervals
+ * wholly outside it do not count. The event-based folds (`count`,
+ * `latency`, `rtt`) see only the events inside the range. Open states
+ * close at @p end.
+ */
+Table runPhaseQuery(const std::vector<trace::TraceEvent> &events,
+                    const trace::EventDictionary &dict,
+                    const Query &query, sim::Tick begin,
+                    sim::Tick end);
 
 /**
  * Run a query over a saved trace file in a single streaming pass

@@ -40,8 +40,10 @@ stateTableFor(const FoldContext &ctx)
 }
 
 /**
- * The open-state machine of ActivityMap::build(), streamed: emits
- * each closed StateInterval-equivalent through a callback instead of
+ * The open-state machine of ActivityMap::build(), streamed, and the
+ * only one in the query engine: the serial folds, the shard partials
+ * and (through the folds) the live preview all run it. It emits each
+ * closed StateInterval-equivalent through a callback instead of
  * collecting a vector. Feeding it the same events in the same order
  * produces the same intervals, per stream in the same order, so
  * per-(stream,state) statistics match the batch path bit for bit.
@@ -53,50 +55,90 @@ stateTableFor(const FoldContext &ctx)
 class StateTracker
 {
   public:
-    StateTracker(std::shared_ptr<const StateTable> state_table,
-                 sim::Tick trace_end)
-        : table(std::move(state_table)), traceEnd(trace_end)
+    /** One stream's open state. */
+    struct Slot
     {
+        sim::Tick since = 0;
+        /** The stream's first Begin (a sharded merge closes the
+         *  previous shard's open state there). */
+        sim::Tick firstBegin = 0;
+        std::uint16_t sid = 0;
+        /** Set by the stream's first Begin; never reset. */
+        bool isOpen = false;
+    };
+
+    explicit StateTracker(std::shared_ptr<const StateTable> state_table)
+        : table(std::move(state_table))
+    {
+    }
+
+    /** Record consumed events from @p first to @p last (trace order,
+     *  so a whole block may report once). */
+    void
+    span(sim::Tick first, sim::Tick last)
+    {
+        if (!sawEvent) {
+            sawEvent = true;
+            firstTs = first;
+        }
+        lastTs = last;
     }
 
     template <typename Emit>
     void
     onEvent(const trace::TraceEvent &ev, Emit &&emit)
     {
-        if (!sawEvent) {
-            sawEvent = true;
-            firstTs = ev.timestamp;
-        }
-        lastTs = ev.timestamp;
-        const std::uint16_t sid = table->tokenState[ev.token];
+        span(ev.timestamp, ev.timestamp);
+        track(ev, table->tokenState.data(), emit);
+    }
+
+    /** The per-event machine alone, with the token table hoisted out
+     *  (batch loops load it once, not per event; they report the
+     *  event span through span()). */
+    template <typename Emit>
+    void
+    track(const trace::TraceEvent &ev, const std::uint16_t *token_state,
+          Emit &&emit)
+    {
+        const std::uint16_t sid = token_state[ev.token];
         if (sid == StateTable::noState)
             return;
-        OpenState &cur = slot(ev.stream);
-        if (cur.isOpen && ev.timestamp > cur.since)
+        Slot &cur = slot(ev.stream);
+        if (!cur.isOpen)
+            cur.firstBegin = ev.timestamp;
+        else if (ev.timestamp > cur.since)
             emit(ev.stream, cur.sid, cur.since, ev.timestamp);
         cur.sid = sid;
         cur.since = ev.timestamp;
         cur.isOpen = true;
     }
 
-    /** Close still-open states; call exactly once, at end of stream.
-     *  Streams are visited in ascending id order, exactly like the
-     *  ordered-map implementation this replaces. */
+    /** Visit (stream, slot) of every stream that has seen a Begin,
+     *  streams ascending. */
+    template <typename F>
+    void
+    forEachOpen(F &&f) const
+    {
+        for (unsigned s = 0; s < flat.size(); ++s) {
+            if (flat[s].isOpen)
+                f(s, flat[s]);
+        }
+        for (const auto &kv : overflow)
+            f(kv.first, kv.second);
+    }
+
+    /** Close still-open states at the trace end (@p trace_end, or the
+     *  last event if later); call exactly once, at end of stream.
+     *  Streams are visited in ascending id order. */
     template <typename Emit>
     void
-    close(Emit &&emit)
+    close(sim::Tick trace_end, Emit &&emit)
     {
-        endTs = traceEnd ? std::max(traceEnd, lastTs) : lastTs;
-        for (unsigned s = 0; s < flat.size(); ++s) {
-            const OpenState &cur = flat[s];
-            if (cur.isOpen && endTs > cur.since)
-                emit(s, cur.sid, cur.since, endTs);
-        }
-        for (const auto &kv : overflow) {
-            if (kv.second.isOpen && endTs > kv.second.since)
-                emit(kv.first, kv.second.sid, kv.second.since,
-                     endTs);
-        }
+        endTs = trace_end ? std::max(trace_end, lastTs) : lastTs;
+        forEachOpen([this, &emit](unsigned stream, const Slot &cur) {
+            if (endTs > cur.since)
+                emit(stream, cur.sid, cur.since, endTs);
+        });
     }
 
     /**
@@ -124,6 +166,12 @@ class StateTracker
         return firstTs;
     }
 
+    sim::Tick
+    lastEvent() const
+    {
+        return lastTs;
+    }
+
     /** Valid after close(). */
     sim::Tick
     traceCloseTime() const
@@ -132,14 +180,7 @@ class StateTracker
     }
 
   private:
-    struct OpenState
-    {
-        sim::Tick since = 0;
-        std::uint16_t sid = 0;
-        bool isOpen = false;
-    };
-
-    OpenState &
+    Slot &
     slot(unsigned stream)
     {
         if (stream >= flatStreamLimit)
@@ -152,9 +193,8 @@ class StateTracker
     }
 
     std::shared_ptr<const StateTable> table;
-    std::vector<OpenState> flat;
-    std::map<unsigned, OpenState> overflow;
-    sim::Tick traceEnd = 0;
+    std::vector<Slot> flat;
+    std::map<unsigned, Slot> overflow;
     sim::Tick firstTs = 0;
     sim::Tick lastTs = 0;
     sim::Tick endTs = 0;
@@ -210,6 +250,18 @@ struct Windower
     {
         return origin + static_cast<sim::Tick>(k) * spec.step;
     }
+
+    /** Number of windows (from index 0) that end at or before
+     *  @p now. */
+    std::int64_t
+    endedBy(sim::Tick now) const
+    {
+        if (!originSet || now < origin + spec.size)
+            return 0;
+        return static_cast<std::int64_t>(
+                   (now - origin - spec.size) / spec.step) +
+               1;
+    }
 };
 
 // ---------------------------------------------------------------- count
@@ -245,25 +297,30 @@ class CountFold : public Fold
     Table
     finish() override
     {
-        Table table;
-        if (context.window)
-            table.columns.push_back("window_ms");
-        table.columns.insert(table.columns.end(),
-                             {"stream", "event", "count"});
-        for (const auto &kv : counts) {
-            const auto &[window, stream, token] = kv.first;
-            std::vector<Value> row;
-            if (context.window) {
-                row.push_back(Value::number(sim::toMilliseconds(
-                    windower.startOf(window))));
-            }
-            row.push_back(
-                Value::str(context.dict->streamName(stream)));
-            row.push_back(Value::str(tokenName(*context.dict, token)));
-            row.push_back(Value::count(kv.second));
-            table.addRow(std::move(row));
-        }
+        Table table = emptyTable();
+        for (const auto &kv : counts)
+            addRow(table, kv);
         return table;
+    }
+
+    void
+    sealWindowsBefore(sim::Tick now, const WindowSink &sink) override
+    {
+        if (!context.window)
+            return;
+        // The map is window-major, so each window's rows are one run
+        // of it, in finish()'s row order.
+        const std::int64_t ended = windower.endedBy(now);
+        auto it = counts.lower_bound({sealed, 0, 0});
+        while (it != counts.end() && std::get<0>(it->first) < ended) {
+            const std::int64_t k = std::get<0>(it->first);
+            Table table = emptyTable();
+            for (; it != counts.end() && std::get<0>(it->first) == k;
+                 ++it)
+                addRow(table, *it);
+            sink(table);
+        }
+        sealed = std::max(sealed, ended);
     }
 
     /** Sharded merge (unwindowed): add a pre-counted aggregate. */
@@ -275,11 +332,41 @@ class CountFold : public Fold
     }
 
   private:
+    using Counts =
+        std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
+                 std::uint64_t>;
+
+    Table
+    emptyTable() const
+    {
+        Table table;
+        if (context.window)
+            table.columns.push_back("window_ms");
+        table.columns.insert(table.columns.end(),
+                             {"stream", "event", "count"});
+        return table;
+    }
+
+    void
+    addRow(Table &table, const Counts::value_type &kv) const
+    {
+        const auto &[window, stream, token] = kv.first;
+        std::vector<Value> row;
+        if (context.window) {
+            row.push_back(Value::number(
+                sim::toMilliseconds(windower.startOf(window))));
+        }
+        row.push_back(Value::str(context.dict->streamName(stream)));
+        row.push_back(Value::str(tokenName(*context.dict, token)));
+        row.push_back(Value::count(kv.second));
+        table.addRow(std::move(row));
+    }
+
     FoldContext context;
     Windower windower;
-    std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
-             std::uint64_t>
-        counts;
+    Counts counts;
+    /** Windows below this index were handed to a WindowSink. */
+    std::int64_t sealed = 0;
 };
 
 // ---------------------------------------------------------------- states
@@ -288,8 +375,7 @@ class StatesFold : public Fold
 {
   public:
     explicit StatesFold(const FoldContext &ctx)
-        : context(ctx), table(stateTableFor(ctx)),
-          tracker(table, ctx.traceEnd)
+        : context(ctx), table(stateTableFor(ctx)), tracker(table)
     {
     }
 
@@ -306,10 +392,11 @@ class StatesFold : public Fold
     Table
     finish() override
     {
-        tracker.close([this](unsigned stream, std::uint16_t sid,
+        tracker.close(context.traceEnd,
+                      [this](unsigned stream, std::uint16_t sid,
                              sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
+                          addInterval(stream, sid, begin, end);
+                      });
         const sim::Tick t0 =
             context.hasFrom ? context.from : tracker.traceBegin();
         const sim::Tick t1 =
@@ -358,6 +445,16 @@ class StatesFold : public Fold
     addInterval(unsigned stream, std::uint16_t sid, sim::Tick begin,
                 sim::Tick end)
     {
+        // Overlap with the evaluation range, clamped per interval; an
+        // interval outside it (possible only when the range is not
+        // also a filter, see runPhaseQuery) is not counted at all.
+        const sim::Tick lo = context.hasFrom
+                                 ? std::max(begin, context.from)
+                                 : begin;
+        const sim::Tick hi =
+            context.hasTo ? std::min(end, context.to) : end;
+        if (hi <= lo)
+            return;
         auto it = perStream.find(stream);
         if (it == perStream.end()) {
             it = perStream
@@ -367,14 +464,7 @@ class StatesFold : public Fold
         }
         Slot &slot = it->second[sid];
         slot.stat.push(static_cast<double>(end - begin));
-        // Overlap with the evaluation range, clamped per interval.
-        const sim::Tick lo = context.hasFrom
-                                 ? std::max(begin, context.from)
-                                 : begin;
-        const sim::Tick hi =
-            context.hasTo ? std::min(end, context.to) : end;
-        if (hi > lo)
-            slot.covered += hi - lo;
+        slot.covered += hi - lo;
     }
 
     FoldContext context;
@@ -391,7 +481,7 @@ class UtilizationFold : public Fold
     UtilizationFold(const FoldSpec &spec, const FoldContext &ctx)
         : context(ctx), state(spec.state),
           table(stateTableFor(ctx)), targetSid(table->idOf(state)),
-          tracker(table, ctx.traceEnd)
+          tracker(table)
     {
         if (context.window) {
             windower.spec = *context.window;
@@ -415,10 +505,11 @@ class UtilizationFold : public Fold
     Table
     finish() override
     {
-        tracker.close([this](unsigned stream, std::uint16_t sid,
+        tracker.close(context.traceEnd,
+                      [this](unsigned stream, std::uint16_t sid,
                              sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
+                          addInterval(stream, sid, begin, end);
+                      });
         const sim::Tick t0 =
             context.hasFrom ? context.from : tracker.traceBegin();
         const sim::Tick t1 =
@@ -443,8 +534,7 @@ class UtilizationFold : public Fold
             return table;
         }
 
-        table.columns = {"window_ms", "stream", "state",
-                         "utilization"};
+        table = emptyWindowTable();
         const std::int64_t last = windower.lastIndexBefore(t1);
         // Dense rows (a value for every window) unless that would
         // explode; tiny windows over a long trace fall back to the
@@ -470,6 +560,53 @@ class UtilizationFold : public Fold
                              kv.second);
         }
         return table;
+    }
+
+    /**
+     * Fixed windows only. A window's row carries its closed
+     * intervals plus, for a state still open past the window's end,
+     * the stretch up to that edge — what this fold will account once
+     * the interval closes, at or after @p now. Rows are the nonzero
+     * ones; the dense final table adds the all-zero rows.
+     */
+    void
+    sealWindowsBefore(sim::Tick now, const WindowSink &sink) override
+    {
+        if (!context.window)
+            return;
+        const std::int64_t ended = windower.endedBy(now);
+        bool openTarget = false;
+        tracker.forEachOpen(
+            [this, &openTarget](unsigned, const StateTracker::Slot &cur) {
+                openTarget = openTarget || cur.sid == targetSid;
+            });
+        for (std::int64_t k = sealed; k < ended; ++k) {
+            if (!openTarget) {
+                // Only closed intervals: jump over empty windows.
+                const auto next = overlap.lower_bound({k, 0});
+                if (next == overlap.end() || next->first.first >= ended)
+                    break;
+                k = next->first.first;
+            }
+            const sim::Tick wlo = windower.startOf(k);
+            const sim::Tick whi = wlo + windower.spec.size;
+            std::map<unsigned, sim::Tick> covered;
+            for (auto it = overlap.lower_bound({k, 0});
+                 it != overlap.end() && it->first.first == k; ++it)
+                covered[it->first.second] = it->second;
+            tracker.forEachOpen(
+                [&](unsigned stream, const StateTracker::Slot &cur) {
+                    if (cur.sid == targetSid && cur.since < whi)
+                        covered[stream] += whi - std::max(cur.since, wlo);
+                });
+            if (covered.empty())
+                continue;
+            Table rows = emptyWindowTable();
+            for (const auto &kv : covered)
+                addWindowRow(rows, k, kv.first, kv.second);
+            sink(rows);
+        }
+        sealed = std::max(sealed, ended);
     }
 
     /** Sharded merge: adopt global event bounds (see
@@ -498,9 +635,18 @@ class UtilizationFold : public Fold
     }
 
   private:
+    static Table
+    emptyWindowTable()
+    {
+        Table table;
+        table.columns = {"window_ms", "stream", "state",
+                         "utilization"};
+        return table;
+    }
+
     void
     addWindowRow(Table &table, std::int64_t k, unsigned stream,
-                 sim::Tick covered)
+                 sim::Tick covered) const
     {
         table.addRow(
             {Value::number(sim::toMilliseconds(windower.startOf(k))),
@@ -520,30 +666,29 @@ class UtilizationFold : public Fold
         // like the string comparison this replaces.
         if (sid != targetSid)
             return;
+        // Clamp to the evaluation range.
+        const sim::Tick lo =
+            context.hasFrom ? std::max(begin, context.from) : begin;
+        const sim::Tick hi =
+            context.hasTo ? std::min(end, context.to) : end;
         if (!context.window) {
-            const sim::Tick lo = context.hasFrom
-                                     ? std::max(begin, context.from)
-                                     : begin;
-            const sim::Tick hi =
-                context.hasTo ? std::min(end, context.to) : end;
             if (hi > lo)
                 overlap[{0, stream}] += hi - lo;
             return;
         }
-        const sim::Tick b = std::max(begin, windower.origin);
-        if (end <= b)
+        const sim::Tick b = std::max(lo, windower.origin);
+        if (hi <= b)
             return;
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        if (!windower.indicesOf(b, lo, hi))
+        std::int64_t first = 0;
+        std::int64_t unused = 0;
+        if (!windower.indicesOf(b, first, unused))
             return;
-        const std::int64_t lastTouched =
-            windower.lastIndexBefore(end);
-        for (std::int64_t k = lo; k <= lastTouched; ++k) {
+        const std::int64_t lastTouched = windower.lastIndexBefore(hi);
+        for (std::int64_t k = first; k <= lastTouched; ++k) {
             const sim::Tick wlo = windower.startOf(k);
             const sim::Tick whi = wlo + windower.spec.size;
-            const sim::Tick a = std::max(begin, wlo);
-            const sim::Tick z = std::min(end, whi);
+            const sim::Tick a = std::max(lo, wlo);
+            const sim::Tick z = std::min(hi, whi);
             if (z > a)
                 overlap[{k, stream}] += z - a;
         }
@@ -557,6 +702,8 @@ class UtilizationFold : public Fold
     Windower windower;
     std::set<unsigned> streams;
     std::map<std::pair<std::int64_t, unsigned>, sim::Tick> overlap;
+    /** Windows below this index were handed to a WindowSink. */
+    std::int64_t sealed = 0;
 };
 
 // --------------------------------------------------------------- latency
@@ -886,25 +1033,25 @@ class CountShard : public ShardFold
 };
 
 /**
- * Shared by `states` and `utilization`: runs the same open-state
- * machine as StateTracker over the shard's slice, but keeps the
- * boundary state explicit — closed intervals in emission order, the
- * first Begin per stream (which closes the *previous* shard's open
- * state at merge time), and the still-open state per stream at the
+ * Shared by `states` and `utilization`: runs the StateTracker over the
+ * shard's slice and keeps the boundary state explicit — closed
+ * intervals in emission order, plus the tracker's slots, which hold
+ * the first Begin per stream (closing the *previous* shard's open
+ * state at merge time) and the still-open state per stream at the
  * shard's end.
  */
 class StateShard : public ShardFold
 {
   public:
     explicit StateShard(std::shared_ptr<const StateTable> state_table)
-        : table(std::move(state_table))
+        : table(std::move(state_table)), tracker(table)
     {
     }
 
     void
     onEvent(const trace::TraceEvent &ev) override
     {
-        consume(ev);
+        tracker.onEvent(ev, ArenaSink{this});
     }
 
     void
@@ -912,17 +1059,12 @@ class StateShard : public ShardFold
     {
         if (n == 0)
             return;
-        // First/last timestamps move to block granularity; events
-        // arrive in trace order, so the block's last event is the
-        // running last.
-        if (!sawEvent) {
-            sawEvent = true;
-            firstTs = events[0].timestamp;
-        }
-        lastTs = events[n - 1].timestamp;
+        // Event bounds move to block granularity; events arrive in
+        // trace order, so the block's last event is the running last.
+        tracker.span(events[0].timestamp, events[n - 1].timestamp);
         const std::uint16_t *token_state = table->tokenState.data();
         for (std::size_t i = 0; i < n; ++i)
-            track(events[i], token_state);
+            tracker.track(events[i], token_state, ArenaSink{this});
     }
 
     void
@@ -935,16 +1077,14 @@ class StateShard : public ShardFold
         // skipping the staging batch array entirely.
         const std::uint16_t *token_state = table->tokenState.data();
         trace::TraceEvent ev;
+        trace::TraceReader::decodeRecord(raw, ev);
+        const sim::Tick first = ev.timestamp;
         for (std::size_t i = 0; i < n;
              ++i, raw += trace::TraceReader::recordBytes) {
             trace::TraceReader::decodeRecord(raw, ev);
-            if (!sawEvent) {
-                sawEvent = true;
-                firstTs = ev.timestamp;
-            }
-            track(ev, token_state);
+            tracker.track(ev, token_state, ArenaSink{this});
         }
-        lastTs = ev.timestamp;
+        tracker.span(first, ev.timestamp);
     }
 
     void
@@ -983,90 +1123,24 @@ class StateShard : public ShardFold
         std::uint32_t stream;
     };
 
-    /** Boundary state of one stream at the slice's edges. */
-    struct OpenSlot
-    {
-        sim::Tick since = 0;
-        /** The first accepted Begin (closes the previous shard's
-         *  open state at merge time). */
-        sim::Tick firstBegin = 0;
-        std::uint16_t sid = 0;
-        bool isOpen = false;
-        bool hasFirstBegin = false;
-    };
-
-    /** Visit (stream, firstBegin) pairs, streams ascending. */
-    template <typename F>
-    void
-    forEachFirstBegin(F &&f) const
-    {
-        for (unsigned s = 0; s < flat.size(); ++s) {
-            if (flat[s].hasFirstBegin)
-                f(s, flat[s].firstBegin);
-        }
-        for (const auto &kv : overflow) {
-            if (kv.second.hasFirstBegin)
-                f(kv.first, kv.second.firstBegin);
-        }
-    }
-
-    /** Visit still-open (stream, sid, since), streams ascending. */
-    template <typename F>
-    void
-    forEachOpen(F &&f) const
-    {
-        for (unsigned s = 0; s < flat.size(); ++s) {
-            if (flat[s].isOpen)
-                f(s, flat[s].sid, flat[s].since);
-        }
-        for (const auto &kv : overflow) {
-            if (kv.second.isOpen)
-                f(kv.first, kv.second.sid, kv.second.since);
-        }
-    }
-
     std::shared_ptr<const StateTable> table;
+    StateTracker tracker;
     std::vector<Interval> intervals;
     std::vector<WideInterval> wide;
-    bool sawEvent = false;
-    sim::Tick firstTs = 0;
-    sim::Tick lastTs = 0;
 
   private:
-    void
-    consume(const trace::TraceEvent &ev)
+    /** The tracker's emit target: the shard's interval arena. */
+    struct ArenaSink
     {
-        if (!sawEvent) {
-            sawEvent = true;
-            firstTs = ev.timestamp;
-        }
-        lastTs = ev.timestamp;
-        track(ev, table->tokenState.data());
-    }
+        StateShard *shard;
 
-    /** The per-event state machine with the token table hoisted out
-     *  (the batch loop loads it once, not per event). */
-    void
-    track(const trace::TraceEvent &ev,
-          const std::uint16_t *token_state)
-    {
-        const std::uint16_t sid = token_state[ev.token];
-        if (sid == StateTable::noState)
-            return;
-        OpenSlot &cur = slot(ev.stream);
-        if (!cur.isOpen) {
-            // isOpen never resets, so this records the genuinely
-            // first accepted Begin of the stream.
-            cur.hasFirstBegin = true;
-            cur.firstBegin = ev.timestamp;
-        } else if (ev.timestamp > cur.since) {
-            pushInterval(ev.stream, cur.sid, cur.since,
-                         ev.timestamp);
+        void
+        operator()(unsigned stream, std::uint16_t sid, sim::Tick b,
+                   sim::Tick e) const
+        {
+            shard->pushInterval(stream, sid, b, e);
         }
-        cur.sid = sid;
-        cur.since = ev.timestamp;
-        cur.isOpen = true;
-    }
+    };
 
     void
     pushInterval(unsigned stream, std::uint16_t sid, sim::Tick b,
@@ -1082,21 +1156,6 @@ class StateShard : public ShardFold
         intervals.push_back({b, wideDur, 0, sid});
         wide.push_back({e, stream});
     }
-
-    OpenSlot &
-    slot(unsigned stream)
-    {
-        if (stream >= flatStreamLimit)
-            return overflow[stream];
-        if (stream >= flat.size())
-            flat.resize(std::min<std::size_t>(
-                std::max<std::size_t>(stream + 1, flat.size() * 2),
-                flatStreamLimit));
-        return flat[stream];
-    }
-
-    std::vector<OpenSlot> flat;
-    std::map<unsigned, OpenSlot> overflow;
 };
 
 class LatencyShard : public ShardFold
@@ -1185,13 +1244,13 @@ stitchStateShards(
     lastTs = 0;
     for (const auto &p : shards) {
         const auto *s = static_cast<const StateShard *>(p.get());
-        if (!s || !s->sawEvent)
+        if (!s || !s->tracker.any())
             continue;
         if (!any) {
             any = true;
-            firstTs = s->firstTs;
+            firstTs = s->tracker.traceBegin();
         }
-        lastTs = s->lastTs;
+        lastTs = s->tracker.lastEvent();
     }
 
     struct Carry
@@ -1204,14 +1263,15 @@ stitchStateShards(
         const auto *s = static_cast<const StateShard *>(p.get());
         if (!s)
             continue;
-        s->forEachFirstBegin(
-            [&carry, &emit](unsigned stream, sim::Tick first) {
+        s->tracker.forEachOpen(
+            [&carry, &emit](unsigned stream,
+                            const StateTracker::Slot &cur) {
                 auto it = carry.find(stream);
                 if (it == carry.end())
                     return;
-                if (first > it->second.since)
+                if (cur.firstBegin > it->second.since)
                     emit(stream, it->second.sid, it->second.since,
-                         first);
+                         cur.firstBegin);
                 carry.erase(it);
             });
         // Streaming replay of the arena; wide records (rare) are
@@ -1226,10 +1286,10 @@ stitchStateShards(
                 emit(wd.stream, iv.sid, iv.begin, wd.end);
             }
         }
-        s->forEachOpen([&carry](unsigned stream, std::uint16_t sid,
-                                sim::Tick since) {
-            carry[stream] = Carry{since, sid};
-        });
+        s->tracker.forEachOpen(
+            [&carry](unsigned stream, const StateTracker::Slot &cur) {
+                carry[stream] = Carry{cur.since, cur.sid};
+            });
     }
     if (!any)
         return;
@@ -1265,15 +1325,16 @@ class StateAccumulator
     add(unsigned stream, std::uint16_t sid, sim::Tick begin,
         sim::Tick end)
     {
-        Slot &slot = slotFor(stream, sid);
-        slot.stat.push(static_cast<double>(end - begin));
         const sim::Tick lo = context->hasFrom
                                  ? std::max(begin, context->from)
                                  : begin;
         const sim::Tick hi =
             context->hasTo ? std::min(end, context->to) : end;
-        if (hi > lo)
-            slot.covered += hi - lo;
+        if (hi <= lo)
+            return;
+        Slot &slot = slotFor(stream, sid);
+        slot.stat.push(static_cast<double>(end - begin));
+        slot.covered += hi - lo;
     }
 
     /** Render the rows exactly like StatesFold::finish(). */
@@ -1524,8 +1585,8 @@ mergeShardFolds(const FoldSpec &spec, const FoldContext &ctx,
           for (const auto &p : shards) {
               const auto *s =
                   static_cast<const StateShard *>(p.get());
-              if (s && s->sawEvent) {
-                  serial.anchorOrigin(s->firstTs);
+              if (s && s->tracker.any()) {
+                  serial.anchorOrigin(s->tracker.traceBegin());
                   break;
               }
           }

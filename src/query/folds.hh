@@ -4,17 +4,19 @@
  * events one at a time with bounded memory and produces a result
  * Table at the end of the stream.
  *
- * The state-based folds (`states`, `utilization`) run the same
- * open-state machine as trace::ActivityMap::build(), so on identical
- * input they reproduce the batch evaluation's numbers exactly — the
- * cross-check tests assert bit-equality against
- * trace::ActivityMap results for the golden scenarios.
+ * The state-based folds (`states`, `utilization`) and their shard
+ * partials run one open-state machine, the streamed equivalent of
+ * trace::ActivityMap::build(), so on identical input they reproduce
+ * the batch evaluation's numbers exactly — the cross-check tests
+ * assert bit-equality against trace::ActivityMap results for the
+ * golden scenarios.
  */
 
 #ifndef QUERY_FOLDS_HH
 #define QUERY_FOLDS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -85,6 +87,9 @@ struct FoldContext
 class Fold
 {
   public:
+    /** Receives the rows of one finalized window. */
+    using WindowSink = std::function<void(const Table &)>;
+
     virtual ~Fold() = default;
 
     /** Consume one (already filtered) event. */
@@ -92,6 +97,21 @@ class Fold
 
     /** End of stream: close open state and build the result. */
     virtual Table finish() = 0;
+
+    /**
+     * Live preview of a time-ordered stream whose accepted events
+     * have reached @p now: hand @p sink the rows of every window that
+     * ended at or before @p now and was not handed out before, one
+     * table per window in window order, each row exactly as finish()
+     * will render it. Only the windowed `count` and `utilization`
+     * folds know rows this early; the others hand out nothing.
+     */
+    virtual void
+    sealWindowsBefore(sim::Tick now, const WindowSink &sink)
+    {
+        (void)now;
+        (void)sink;
+    }
 };
 
 /** Instantiate the fold sink a query asks for. */

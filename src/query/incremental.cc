@@ -1,63 +1,26 @@
 #include "incremental.hh"
 
-#include <algorithm>
-
-#include "sim/logging.hh"
-
 namespace supmon
 {
 namespace query
 {
 
-namespace
-{
-
-std::string
-liveTokenName(const trace::EventDictionary &dict,
-              std::uint16_t token)
-{
-    const trace::EventDef *def = dict.find(token);
-    return def ? def->name : sim::strprintf("0x%04x", token);
-}
-
-} // namespace
-
 IncrementalEngine::IncrementalEngine(
     const Query &query, const trace::EventDictionary &dict,
     RowCallback on_rows, sim::Tick trace_end)
-    : engine(query, dict, trace_end),
-      context(makeFoldContext(query, dict, trace_end)),
-      onRows(std::move(on_rows))
+    : engine(query, dict, trace_end), onRows(std::move(on_rows))
 {
     const bool fixedWindow =
-        context.window && context.window->step == context.window->size;
-    if (fixedWindow && query.fold.kind == FoldKind::Count)
-        mode = Mode::WindowCount;
-    else if (fixedWindow && query.fold.kind == FoldKind::Utilization)
-        mode = Mode::WindowUtilization;
-    if (mode == Mode::FinishOnly)
-        return;
-
-    previewChain = std::make_unique<FilterChain>(query, dict);
-    windowSize = context.window->size;
-    if (context.hasFrom) {
-        origin = context.from;
-        originSet = true;
-    }
-    if (mode == Mode::WindowUtilization) {
-        stateName = query.fold.state;
-        if (!context.stateTable)
-            context.stateTable = StateTable::compile(dict);
-        targetSid = context.stateTable->idOf(stateName);
-    }
+        query.window && query.window->step == query.window->size;
+    live = fixedWindow && (query.fold.kind == FoldKind::Count ||
+                           query.fold.kind == FoldKind::Utilization);
 }
 
 void
 IncrementalEngine::onEvent(const trace::TraceEvent &ev)
 {
-    engine.onEvent(ev);
-    if (mode != Mode::FinishOnly && previewChain->accepts(ev))
-        onAccepted(ev);
+    if (engine.onEvent(ev) && live && onRows)
+        engine.sealWindowsBefore(ev.timestamp, onRows);
 }
 
 void
@@ -66,156 +29,6 @@ IncrementalEngine::onBatch(const trace::TraceEvent *events,
 {
     for (std::size_t i = 0; i < n; ++i)
         onEvent(events[i]);
-}
-
-Table
-IncrementalEngine::finish()
-{
-    return engine.finish();
-}
-
-void
-IncrementalEngine::onAccepted(const trace::TraceEvent &ev)
-{
-    if (!originSet) {
-        origin = ev.timestamp;
-        originSet = true;
-    }
-    finalizeBefore(ev.timestamp);
-    if (ev.timestamp < origin)
-        return; // out-of-order stream: no live preview for this one
-
-    if (mode == Mode::WindowCount) {
-        const std::int64_t k = static_cast<std::int64_t>(
-            (ev.timestamp - origin) / windowSize);
-        if (k >= nextWindow)
-            ++counts[{k, ev.stream, ev.token}];
-        return;
-    }
-
-    // WindowUtilization: the StateTracker open-state machine, with
-    // closed target intervals turned into window overlaps.
-    const std::uint16_t sid =
-        context.stateTable->tokenState[ev.token];
-    if (sid == StateTable::noState)
-        return;
-    auto it = open.find(ev.stream);
-    if (it == open.end()) {
-        open.emplace(ev.stream, OpenState{sid, ev.timestamp});
-        return;
-    }
-    if (ev.timestamp > it->second.begin &&
-        it->second.sid == targetSid)
-        addOverlap(ev.stream, it->second.begin, ev.timestamp);
-    it->second = OpenState{sid, ev.timestamp};
-}
-
-void
-IncrementalEngine::finalizeBefore(sim::Tick now)
-{
-    if (!originSet || windowSize == 0 || now <= origin)
-        return;
-    while (origin + static_cast<sim::Tick>(nextWindow + 1) *
-                        windowSize <=
-           now) {
-        if (mode == Mode::WindowCount)
-            emitCountWindow(nextWindow);
-        else
-            emitUtilizationWindow(nextWindow);
-        ++nextWindow;
-
-        // A long event gap would walk one empty window at a time;
-        // jump it when no pending state can produce rows.
-        const bool openTarget =
-            mode == Mode::WindowUtilization &&
-            std::any_of(open.begin(), open.end(),
-                        [this](const auto &kv) {
-                            return kv.second.sid == targetSid;
-                        });
-        if (counts.empty() && overlap.empty() && !openTarget) {
-            const auto current = static_cast<std::int64_t>(
-                (now - origin) / windowSize);
-            nextWindow = std::max(nextWindow, current);
-        }
-    }
-}
-
-void
-IncrementalEngine::emitCountWindow(std::int64_t k)
-{
-    const auto lo = counts.lower_bound({k, 0, 0});
-    const auto hi = counts.lower_bound({k + 1, 0, 0});
-    if (lo == hi)
-        return;
-    Table table;
-    table.columns = {"window_ms", "stream", "event", "count"};
-    for (auto it = lo; it != hi; ++it) {
-        const auto &[window, stream, token] = it->first;
-        (void)window;
-        table.addRow({Value::number(
-                          sim::toMilliseconds(windowStart(k))),
-                      Value::str(context.dict->streamName(stream)),
-                      Value::str(liveTokenName(*context.dict, token)),
-                      Value::count(it->second)});
-    }
-    counts.erase(lo, hi);
-    if (onRows)
-        onRows(table);
-}
-
-void
-IncrementalEngine::emitUtilizationWindow(std::int64_t k)
-{
-    const sim::Tick wlo = windowStart(k);
-    const sim::Tick whi = wlo + windowSize;
-    // An interval still open past the window's end covers it up to
-    // the edge — exactly what the batch fold will account when the
-    // interval eventually closes (addOverlap skips emitted windows).
-    for (const auto &kv : open) {
-        if (kv.second.sid != targetSid || kv.second.begin >= whi)
-            continue;
-        overlap[{k, kv.first}] +=
-            whi - std::max(kv.second.begin, wlo);
-    }
-    const auto lo = overlap.lower_bound({k, 0});
-    const auto hi = overlap.lower_bound({k + 1, 0});
-    if (lo == hi)
-        return;
-    Table table;
-    table.columns = {"window_ms", "stream", "state", "utilization"};
-    for (auto it = lo; it != hi; ++it) {
-        table.addRow(
-            {Value::number(sim::toMilliseconds(wlo)),
-             Value::str(context.dict->streamName(it->first.second)),
-             Value::str(stateName),
-             Value::number(static_cast<double>(it->second) /
-                           static_cast<double>(windowSize))});
-    }
-    overlap.erase(lo, hi);
-    if (onRows)
-        onRows(table);
-}
-
-void
-IncrementalEngine::addOverlap(unsigned stream, sim::Tick begin,
-                              sim::Tick end)
-{
-    const sim::Tick b = std::max(begin, origin);
-    if (end <= b)
-        return;
-    const auto first = static_cast<std::int64_t>(
-        (b - origin) / windowSize);
-    const auto last = static_cast<std::int64_t>(
-        (end - 1 - origin) / windowSize);
-    for (std::int64_t k = std::max(first, nextWindow); k <= last;
-         ++k) {
-        const sim::Tick wlo = windowStart(k);
-        const sim::Tick whi = wlo + windowSize;
-        const sim::Tick a = std::max(begin, wlo);
-        const sim::Tick z = std::min(end, whi);
-        if (z > a)
-            overlap[{k, stream}] += z - a;
-    }
 }
 
 } // namespace query

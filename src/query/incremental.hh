@@ -9,7 +9,10 @@
  * event feeds it, and finish() returns the exact table the batch
  * pipeline would produce for the same stream — and, for the window
  * shapes whose results are decided early, additionally emits
- * finalized rows through a callback as the stream advances:
+ * finalized rows through a callback as the stream advances. Those
+ * rows come from the same fold that builds the final table
+ * (Fold::sealWindowsBefore), so each event is filtered and folded
+ * once:
  *
  *  - fixed-window `count`: window k's rows are final once an accepted
  *    event at or past the end of window k arrives; the concatenation
@@ -18,7 +21,7 @@
  *  - fixed-window `utilization`: window k's nonzero-coverage rows are
  *    emitted when the stream passes the window's end (open activity
  *    intervals are credited up to the window edge, exactly as the
- *    batch fold will account them at close). The final table may add
+ *    fold will account them at close). The final table may add
  *    all-zero rows in dense mode; every emitted row reappears in it
  *    verbatim.
  *
@@ -33,9 +36,6 @@
 #define QUERY_INCREMENTAL_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 
 #include "query/engine.hh"
 
@@ -49,7 +49,7 @@ class IncrementalEngine
   public:
     /** Receives each finalized-window partial result: same columns
      *  as the final table, rows of one window. */
-    using RowCallback = std::function<void(const Table &)>;
+    using RowCallback = Fold::WindowSink;
 
     IncrementalEngine(const Query &query,
                       const trace::EventDictionary &dict,
@@ -63,13 +63,17 @@ class IncrementalEngine
     void onBatch(const trace::TraceEvent *events, std::size_t n);
 
     /** End of stream: the authoritative batch-identical table. */
-    Table finish();
+    Table
+    finish()
+    {
+        return engine.finish();
+    }
 
     /** Does this query shape emit finalized rows mid-stream? */
     bool
     streamsLive() const
     {
-        return mode != Mode::FinishOnly;
+        return live;
     }
 
     std::uint64_t
@@ -85,61 +89,9 @@ class IncrementalEngine
     }
 
   private:
-    enum class Mode
-    {
-        /** No early emission; everything arrives at finish(). */
-        FinishOnly,
-        WindowCount,
-        WindowUtilization,
-    };
-
-    /** Live-preview bookkeeping for one accepted event. */
-    void onAccepted(const trace::TraceEvent &ev);
-    /** Emit every window that ends at or before @p now. */
-    void finalizeBefore(sim::Tick now);
-    void emitCountWindow(std::int64_t k);
-    void emitUtilizationWindow(std::int64_t k);
-    /** Add a closed activity interval's window overlaps (skipping
-     *  already-finalized windows). */
-    void addOverlap(unsigned stream, sim::Tick begin, sim::Tick end);
-
-    sim::Tick
-    windowStart(std::int64_t k) const
-    {
-        return origin + static_cast<sim::Tick>(k) * windowSize;
-    }
-
     QueryEngine engine;
-    FoldContext context;
-    Mode mode = Mode::FinishOnly;
     RowCallback onRows;
-
-    /** Second compiled chain for the live preview (live modes only;
-     *  the inner engine filters independently). */
-    std::unique_ptr<FilterChain> previewChain;
-
-    // --- fixed-window bookkeeping (live modes) ---
-    sim::Tick windowSize = 0;
-    sim::Tick origin = 0;
-    bool originSet = false;
-    /** First window index not yet finalized/emitted. */
-    std::int64_t nextWindow = 0;
-
-    // --- WindowCount ---
-    std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
-             std::uint64_t>
-        counts;
-
-    // --- WindowUtilization ---
-    std::string stateName;
-    std::uint16_t targetSid = 0;
-    struct OpenState
-    {
-        std::uint16_t sid;
-        sim::Tick begin;
-    };
-    std::map<unsigned, OpenState> open;
-    std::map<std::pair<std::int64_t, unsigned>, sim::Tick> overlap;
+    bool live = false;
 };
 
 } // namespace query

@@ -14,6 +14,7 @@
 
 #include "trace/io.hh"
 #include "validate/scenarios.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -83,8 +84,8 @@ TEST(FaultScenario, TraceShowsTheFaultAndRecoveryTimeline)
 
 TEST(FaultScenario, SameSeedAndPlanRerunIsByteIdentical)
 {
-    const char *a = "/tmp/supmon_fault_rerun_a.smtr";
-    const char *b = "/tmp/supmon_fault_rerun_b.smtr";
+    const char *a = test::tempPath("supmon_fault_rerun_a.smtr");
+    const char *b = test::tempPath("supmon_fault_rerun_b.smtr");
     const auto run1 = validate::runScenario(faultyScenario());
     const auto run2 = validate::runScenario(faultyScenario());
     ASSERT_TRUE(run1.completed);

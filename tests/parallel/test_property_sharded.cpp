@@ -26,6 +26,7 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using trace::TraceEvent;
@@ -314,7 +315,7 @@ TEST(PropertySharded, RandomTracesAndQueriesBitExactForShards1To8)
 
 TEST(PropertySharded, FileExecutionMatchesInMemoryOnRandomTraces)
 {
-    const char *path = "/tmp/supmon_property_sharded.smtr";
+    const char *path = test::tempPath("supmon_property_sharded.smtr");
     const auto dict = testDictionary();
     for (std::uint64_t seed = 100; seed < 112; ++seed) {
         sim::Random rng(sim::deriveSeed(20260809, seed));

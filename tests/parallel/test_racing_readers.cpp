@@ -17,6 +17,7 @@
 #include "parallel/pool.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using trace::TraceEvent;
@@ -42,7 +43,7 @@ randomTrace(std::size_t n, std::uint64_t seed)
     return events;
 }
 
-const char *tmpPath = "/tmp/supmon_racing_readers_test.smtr";
+const char *tmpPath = test::tempPath("supmon_racing_readers_test.smtr");
 
 } // namespace
 

@@ -16,6 +16,7 @@
 #include "query/sharded.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using trace::TraceEvent;
@@ -232,7 +233,7 @@ TEST(ShardedQuery, EmptyAndTinyTraces)
 
 TEST(ShardedQuery, FileExecutionMatchesAndReportsErrors)
 {
-    const char *path = "/tmp/supmon_sharded_query_test.smtr";
+    const char *path = test::tempPath("supmon_sharded_query_test.smtr");
     const auto dict = testDictionary();
     const auto events = boundaryHostileTrace(3000, 5);
     ASSERT_TRUE(trace::saveTrace(path, events));
@@ -255,7 +256,7 @@ TEST(ShardedQuery, FileExecutionMatchesAndReportsErrors)
     query::Table table;
     std::string error;
     EXPECT_FALSE(query::runQueryFileSharded(
-        "/tmp/supmon_no_such_sharded.smtr", dict, q, 4, table,
+        test::tempPath("supmon_no_such_sharded.smtr"), dict, q, 4, table,
         error));
     EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }

@@ -18,6 +18,7 @@
 #include "trace/activity.hh"
 #include "trace/io.hh"
 #include "validate/scenarios.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -193,7 +194,7 @@ TEST(QueryCrossCheck, FileStreamingMatchesInMemoryOnGoldenTrace)
     // Round-trip one golden trace through the on-disk format and run
     // the same query once streamed from the file and once in memory:
     // every cell must be identical.
-    const char *path = "/tmp/supmon_query_crosscheck.smtr";
+    const char *path = test::tempPath("supmon_query_crosscheck.smtr");
     const auto res = runNamedScenario("fig07-mailbox");
     ASSERT_TRUE(trace::saveTrace(path, res.events));
 
@@ -278,7 +279,7 @@ TEST(QueryCrossCheck, ShardCountIndependence)
 
 TEST(QueryCrossCheck, ShardedFileMatchesStreamingFile)
 {
-    const char *path = "/tmp/supmon_query_crosscheck_sharded.smtr";
+    const char *path = test::tempPath("supmon_query_crosscheck_sharded.smtr");
     const auto res = runNamedScenario("fig10-versions");
     ASSERT_TRUE(trace::saveTrace(path, res.events));
 

@@ -12,6 +12,7 @@
 #include "query/engine.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using trace::TraceEvent;
@@ -312,7 +313,7 @@ TEST(QueryEngine, AcceptedAndSeenCounters)
 
 TEST(QueryEngine, FileStreamingMatchesInMemoryExecution)
 {
-    const char *path = "/tmp/supmon_query_engine_test.smtr";
+    const char *path = test::tempPath("supmon_query_engine_test.smtr");
     const auto dict = testDictionary();
 
     sim::Random rng(77);
@@ -366,7 +367,7 @@ TEST(QueryEngine, RunQueryFileReportsUnreadableInput)
 {
     query::Table table;
     std::string error;
-    EXPECT_FALSE(query::runQueryFile("/tmp/supmon_missing.smtr",
+    EXPECT_FALSE(query::runQueryFile(test::tempPath("supmon_missing.smtr"),
                                      testDictionary(),
                                      mustParse("count"), table,
                                      error));

@@ -15,6 +15,7 @@
 
 #include "sim/random.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using trace::TraceEvent;
@@ -26,11 +27,11 @@ namespace
 std::string
 uniquePath()
 {
-    return std::string("/tmp/supmon_query_reader_") +
-           ::testing::UnitTest::GetInstance()
-               ->current_test_info()
-               ->name() +
-           ".smtr";
+    return test::tempPath(std::string("supmon_query_reader_") +
+                          ::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name() +
+                          ".smtr");
 }
 
 std::vector<TraceEvent>
@@ -127,7 +128,7 @@ TEST(TraceReader, EmptyTraceIsCleanEnd)
 
 TEST(TraceReader, MissingFileReportsError)
 {
-    trace::TraceReader reader("/tmp/supmon_no_such_trace.smtr");
+    trace::TraceReader reader(test::tempPath("supmon_no_such_trace.smtr"));
     EXPECT_FALSE(reader.ok());
     EXPECT_NE(reader.error().find("cannot open"), std::string::npos);
     TraceEvent ev;

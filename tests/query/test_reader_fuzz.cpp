@@ -25,6 +25,7 @@
 #include "query/sharded.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using trace::TraceEvent;
@@ -157,7 +158,7 @@ exerciseReaders(const std::string &path, const std::string &what)
 
 TEST(ReaderFuzz, DeterministicHeaderCorruptions)
 {
-    const std::string path = "/tmp/supmon_reader_fuzz_hdr.smtr";
+    const std::string path = test::tempPath("supmon_reader_fuzz_hdr.smtr");
     const auto events = validEvents(50, 1);
     ASSERT_TRUE(trace::saveTrace(path, events, 77));
     std::vector<unsigned char> good;
@@ -195,7 +196,7 @@ TEST(ReaderFuzz, DeterministicHeaderCorruptions)
 
 TEST(ReaderFuzz, SeededTruncationsEveryBoundary)
 {
-    const std::string path = "/tmp/supmon_reader_fuzz_trunc.smtr";
+    const std::string path = test::tempPath("supmon_reader_fuzz_trunc.smtr");
     const auto events = validEvents(40, 2);
     ASSERT_TRUE(trace::saveTrace(path, events));
     std::vector<unsigned char> good;
@@ -234,7 +235,7 @@ TEST(ReaderFuzz, SeededTruncationsEveryBoundary)
 
 TEST(ReaderFuzz, SeededBitFlipsAndGarbage)
 {
-    const std::string path = "/tmp/supmon_reader_fuzz_bits.smtr";
+    const std::string path = test::tempPath("supmon_reader_fuzz_bits.smtr");
     const auto events = validEvents(64, 3);
     ASSERT_TRUE(trace::saveTrace(path, events));
     std::vector<unsigned char> good;
@@ -301,9 +302,9 @@ TEST(ReaderFuzz, SeededBitFlipsAndGarbage)
 
 TEST(ReaderFuzz, MissingAndEmptyFiles)
 {
-    exerciseReaders("/tmp/supmon_reader_fuzz_missing.smtr",
+    exerciseReaders(test::tempPath("supmon_reader_fuzz_missing.smtr"),
                     "missing file");
-    const std::string path = "/tmp/supmon_reader_fuzz_empty.smtr";
+    const std::string path = test::tempPath("supmon_reader_fuzz_empty.smtr");
     ASSERT_TRUE(writeFile(path, {}));
     trace::TraceReader reader(path);
     EXPECT_FALSE(reader.ok());

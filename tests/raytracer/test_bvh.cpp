@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "raytracer/bvh.hh"
 #include "raytracer/scenes.hh"
 #include "sim/random.hh"
@@ -39,14 +42,17 @@ randomRay(sim::Random &rng)
 }
 } // namespace
 
+// The scene name is a std::string, not a const char *: gtest prints a
+// pointer parameter with its address, which ASLR moves on every run,
+// and the test names derived from it would never repeat.
 class BvhEquivalence
-    : public ::testing::TestWithParam<std::pair<const char *, int>>
+    : public ::testing::TestWithParam<std::pair<std::string, int>>
 {
   protected:
     Scene
     makeScene() const
     {
-        const std::string name = GetParam().first;
+        const std::string &name = GetParam().first;
         if (name == "moderate")
             return rt::moderateScene();
         if (name == "pyramid")
@@ -94,10 +100,10 @@ TEST_P(BvhEquivalence, OcclusionMatchesBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(
     Scenes, BvhEquivalence,
-    ::testing::Values(std::make_pair("moderate", 0),
-                      std::make_pair("pyramid", 2),
-                      std::make_pair("pyramid", 3),
-                      std::make_pair("grid", 8)));
+    ::testing::Values(std::make_pair(std::string("moderate"), 0),
+                      std::make_pair(std::string("pyramid"), 2),
+                      std::make_pair(std::string("pyramid"), 3),
+                      std::make_pair(std::string("grid"), 8)));
 
 TEST(Bvh, ReducesPrimitiveTestsOnComplexScene)
 {

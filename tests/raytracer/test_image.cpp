@@ -11,6 +11,7 @@
 
 #include "raytracer/camera.hh"
 #include "raytracer/image.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using rt::Camera;
@@ -65,7 +66,7 @@ TEST(Image, WritesValidPpm)
     Image img(4, 2);
     for (unsigned i = 0; i < 8; ++i)
         img.setLinear(i, {0.5, 0.25, 1.0});
-    const std::string path = "/tmp/supmon_test_image.ppm";
+    const std::string path = test::tempPath("supmon_test_image.ppm");
     ASSERT_TRUE(img.writePpm(path));
     std::ifstream in(path, std::ios::binary);
     std::string magic;

@@ -12,6 +12,7 @@
 #include "sim/random.hh"
 #include "trace/activity.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using trace::TraceEvent;
@@ -38,7 +39,7 @@ randomTrace(std::size_t n, std::uint64_t seed)
     return events;
 }
 
-const char *tmpPath = "/tmp/supmon_trace_io_test.smtr";
+const char *tmpPath = test::tempPath("supmon_trace_io_test.smtr");
 
 } // namespace
 
@@ -132,8 +133,8 @@ TEST(TraceIo, UnknownVersionRejected)
 
 TEST(TraceIo, MissingFileYieldsNullopt)
 {
-    EXPECT_FALSE(
-        trace::loadTrace("/tmp/supmon_no_such_trace.smtr").has_value());
+    EXPECT_FALSE(trace::loadTrace(test::tempPath("supmon_no_such_trace.smtr"))
+                     .has_value());
 }
 
 TEST(TraceIo, WrongMagicRejected)

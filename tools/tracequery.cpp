@@ -16,7 +16,8 @@
  *   --nodes N                name streams for N nodes (default 32)
  *   --jobs N                 worker threads (0 = all cores; default 1)
  *   --phase                  scenario mode: evaluate only the
- *                            measurement phase window
+ *                            measurement phase, the range the
+ *                            runner's servant utilization covers
  *   --reconnect[=N]          follow mode: when the daemon dies,
  *                            reattach and keep following (at most N
  *                            consecutive failed attempts; no N =
@@ -298,22 +299,16 @@ queryScenarios(const std::string &which, const query::Query &parsed,
                          scenario->name.c_str());
             return 1;
         }
-        query::Query effective = parsed;
-        sim::Tick trace_end = 0;
-        if (phase_only) {
-            query::FilterSpec window;
-            window.hasFrom = true;
-            window.from = result.phaseBegin;
-            window.hasTo = true;
-            window.to = result.phaseEnd;
-            effective.filters.push_back(window);
-            trace_end = result.phaseEnd;
-        }
         if (selected.size() > 1 &&
             format == query::OutputFormat::Text)
             std::printf("== %s\n", scenario->name.c_str());
-        const query::Table table = query::runQuery(
-            result.events, result.dictionary, effective, trace_end);
+        // The phase is evaluated exactly as the runner measures it.
+        const query::Table table =
+            phase_only ? query::runPhaseQuery(
+                             result.events, result.dictionary, parsed,
+                             result.phaseBegin, result.phaseEnd)
+                       : query::runQuery(result.events,
+                                         result.dictionary, parsed);
         std::printf("%s", table.render(format).c_str());
     }
     return 0;
