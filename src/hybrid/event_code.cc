@@ -5,19 +5,17 @@ namespace supmon
 namespace hybrid
 {
 
-std::vector<std::uint8_t>
+std::array<std::uint8_t, 2 * pairsPerEvent>
 encodePatternSequence(std::uint16_t token, std::uint32_t param)
 {
     const std::uint64_t data = pack48(token, param);
-    std::vector<std::uint8_t> seq;
-    seq.reserve(2 * pairsPerEvent);
+    std::array<std::uint8_t, 2 * pairsPerEvent> seq;
     // m_0 carries the most significant 3 bits.
     for (unsigned i = 0; i < pairsPerEvent; ++i) {
         const unsigned shift = (pairsPerEvent - 1 - i) * bitsPerPattern;
-        const auto m =
+        seq[2 * i] = triggerPattern;
+        seq[2 * i + 1] =
             static_cast<std::uint8_t>((data >> shift) & 0x7u);
-        seq.push_back(triggerPattern);
-        seq.push_back(m);
     }
     return seq;
 }

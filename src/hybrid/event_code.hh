@@ -26,9 +26,9 @@
 #ifndef HYBRID_EVENT_CODE_HH
 #define HYBRID_EVENT_CODE_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace supmon
 {
@@ -78,8 +78,8 @@ unpack48(std::uint64_t data)
  * Encode an event as the display pattern sequence
  * T m_0 T m_1 ... T m_15 (32 pattern indices).
  */
-std::vector<std::uint8_t> encodePatternSequence(std::uint16_t token,
-                                                std::uint32_t param);
+std::array<std::uint8_t, 2 * pairsPerEvent>
+encodePatternSequence(std::uint16_t token, std::uint32_t param);
 
 /**
  * The recognition state machine of the interface's event detector

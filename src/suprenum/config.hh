@@ -120,8 +120,6 @@ struct MachineParams
      * twentieth" of the >2.4 ms terminal path.
      */
     sim::Tick hybridMonCost = sim::microseconds(100);
-    /** Number of display writes per hybrid_mon (trigger+data pairs). */
-    unsigned displayWritesPerEvent = 32;
     /** Serial terminal interface rate: "less than 20 KBit/s". */
     std::uint64_t terminalBitsPerSec = 19200;
     /** Context switch incurred by terminal output (paper, 3.2). */

@@ -371,26 +371,34 @@ NodeKernel::ackArrived(std::uint32_t lwp_id)
 }
 
 void
-NodeKernel::emitDisplaySequence(Lwp *lwp,
-                                std::vector<std::uint8_t> patterns,
+NodeKernel::emitDisplaySequence(Lwp *lwp, const DisplaySequence &patterns,
                                 sim::Tick total_cost)
 {
     assertRunning(*lwp, "emitDisplay");
-    const auto n = patterns.size();
-    if (n == 0) {
-        // Nothing to drive; still costs the call overhead.
-        simulation().scheduleAfter(total_cost,
-                                   [this, lwp] { resumeRunning(lwp); });
-        return;
-    }
-    const sim::Tick spacing = total_cost / (n + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t pattern = patterns[i];
-        simulation().scheduleAfter(
-            spacing * (i + 1), [this, pattern] {
-                displayDev.write(pattern, simulation().now(), false);
-            });
-    }
+    // Pattern i lands at start + spacing * (i + 1). Only the running
+    // process drives the display and the interface raises its request
+    // on the last pattern alone, so one event at the last pattern's
+    // tick drives the whole sequence, each write stamped with its own
+    // tick. That holds while sequences on a node never overlap: after
+    // a kill the next process is dispatched a context switch later,
+    // and the check below panics if that is before the killed
+    // process's sequence has landed.
+    const sim::Tick start = simulation().now();
+    if (start < displayBusyUntil)
+        sim::panic("display sequence on node (%u,%u) starts at %llu "
+                   "before the previous one lands at %llu",
+                   id.cluster, id.node,
+                   static_cast<unsigned long long>(start),
+                   static_cast<unsigned long long>(displayBusyUntil));
+    const sim::Tick spacing = total_cost / (patterns.size() + 1);
+    displayBusyUntil = start + spacing * patterns.size();
+    auto drive = [this, patterns, start, spacing] {
+        for (std::size_t i = 0; i < patterns.size(); ++i)
+            displayDev.write(patterns[i], start + spacing * (i + 1));
+    };
+    static_assert(sizeof(drive) <= sim::SmallEventFunc::inlineSize,
+                  "the display closure must stay inline in its event");
+    simulation().scheduleAt(displayBusyUntil, std::move(drive));
     simulation().scheduleAfter(total_cost,
                                [this, lwp] { resumeRunning(lwp); });
 }

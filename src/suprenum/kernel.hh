@@ -331,7 +331,7 @@ class NodeKernel
     void beginSend(Lwp *lwp, Message msg);
     bool hasMatch(const Lwp &lwp, const MessageFilter &filter) const;
     Message acceptMatch(Lwp *lwp, const MessageFilter &filter);
-    void emitDisplaySequence(Lwp *lwp, std::vector<std::uint8_t> patterns,
+    void emitDisplaySequence(Lwp *lwp, const DisplaySequence &patterns,
                              sim::Tick total_cost);
     void emitSerial(Lwp *lwp, std::uint64_t data, unsigned bits);
     void emitSoftwareLog(Lwp *lwp, std::uint16_t token,
@@ -355,12 +355,14 @@ class NodeKernel
     std::deque<Lwp *> readyQueue;
     Lwp *running = nullptr;
     bool dispatchPending = false;
+    bool memWarned = false;
 
     SevenSegmentDisplay displayDev;
+    /** Tick of the last write of the display sequence in flight. */
+    sim::Tick displayBusyUntil = 0;
     SerialPort serialDev;
 
     std::uint64_t memUsed = 0;
-    bool memWarned = false;
     NodeAccounting acct;
     /** Dense per-state LWP counts, parallel to LwpState. */
     std::uint32_t stateCensus[lwpStateCount] = {};
@@ -618,81 +620,6 @@ class ProcessEnv
     wait(EventFlag &flag) const
     {
         return {kern, lwp, &flag};
-    }
-
-    /**
-     * Drive a pattern sequence onto the seven segment display while
-     * holding the CPU for @p total_cost. This is the device-level
-     * primitive underneath hybrid_mon(); the encoding lives in the
-     * hybrid library.
-     */
-    struct DisplayAwaiter
-    {
-        NodeKernel *kern;
-        Lwp *lwp;
-        std::vector<std::uint8_t> patterns;
-        sim::Tick totalCost;
-
-        bool
-        await_ready() const
-        {
-            return false;
-        }
-
-        void
-        await_suspend(std::coroutine_handle<>)
-        {
-            kern->emitDisplaySequence(lwp, std::move(patterns),
-                                      totalCost);
-        }
-
-        void
-        await_resume()
-        {
-        }
-    };
-
-    DisplayAwaiter
-    emitDisplay(std::vector<std::uint8_t> patterns,
-                sim::Tick total_cost) const
-    {
-        return {kern, lwp, std::move(patterns), total_cost};
-    }
-
-    /**
-     * Output @p bits bits of @p data through the V.24 serial terminal
-     * interface: a context switch plus the serial transmission time,
-     * with the CPU held (the slow path rejected by the paper).
-     */
-    struct SerialAwaiter
-    {
-        NodeKernel *kern;
-        Lwp *lwp;
-        std::uint64_t data;
-        unsigned bits;
-
-        bool
-        await_ready() const
-        {
-            return false;
-        }
-
-        void
-        await_suspend(std::coroutine_handle<>)
-        {
-            kern->emitSerial(lwp, data, bits);
-        }
-
-        void
-        await_resume()
-        {
-        }
-    };
-
-    SerialAwaiter
-    emitSerial(std::uint64_t data, unsigned bits) const
-    {
-        return {kern, lwp, data, bits};
     }
 
   private:

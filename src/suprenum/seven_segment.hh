@@ -19,6 +19,7 @@
 #ifndef SUPRENUM_SEVEN_SEGMENT_HH
 #define SUPRENUM_SEVEN_SEGMENT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -51,6 +52,12 @@ constexpr std::uint8_t sevenSegmentFont[16] = {
     0x79, // E
     0x71, // F
 };
+
+/**
+ * The pattern indices of one hybrid_mon() event in display order:
+ * T m_0 T m_1 ... T m_15 (paper, section 3.2).
+ */
+using DisplaySequence = std::array<std::uint8_t, 32>;
 
 /** Map a glyph bitmask back to its pattern index; 0xff if unknown. */
 std::uint8_t sevenSegmentPatternOf(std::uint8_t glyph);

@@ -123,6 +123,8 @@ makeScaledScenarios()
     list.push_back(scaledScenario("scaled-10x", 70, 128));
     // 100x: 701 nodes across 44 clusters, past the published torus.
     list.push_back(scaledScenario("scaled-100x", 700, 256));
+    // 1000x: 7001 nodes across 438 clusters.
+    list.push_back(scaledScenario("scaled-1000x", 7000, 512));
     return list;
 }
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "analysis/finding.hh"
 #include "analysis/lint.hh"
 #include "analysis/sourcescan.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 using analysis::Finding;
@@ -284,10 +284,7 @@ TEST(Findings, BaselineSuppressesByStableKey)
         {"unused-token", Severity::Warning, "evStale", "src/b.hh:2",
          "stale"},
     };
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "tracelint_baseline_test.txt")
-            .string();
+    const std::string path = test::tempPath("tracelint_baseline_test.txt");
     {
         std::ofstream out(path);
         out << "# the paper's historical v3 queue constant\n";

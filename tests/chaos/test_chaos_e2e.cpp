@@ -35,6 +35,7 @@
 #include "trace/io.hh"
 #include "validate/rules.hh"
 #include "validate/scenarios.hh"
+#include "temp_dir.hh"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -95,7 +96,6 @@ expectCleanAndByteIdentical(
 
 TEST(ChaosEndToEnd, GoldenScenariosSurviveTheFaultPlanByteIdentically)
 {
-    const std::string dir = ::testing::TempDir();
     const auto &scenarios = validate::goldenScenarios();
     ASSERT_GE(scenarios.size(), 4u);
 
@@ -106,13 +106,14 @@ TEST(ChaosEndToEnd, GoldenScenariosSurviveTheFaultPlanByteIdentically)
         ASSERT_FALSE(result.events.empty()) << scenario.name;
 
         const std::string archiveDir =
-            dir + "/chaos-" + scenario.name;
+            test::tempPath("chaos-" + scenario.name);
         ::mkdir(archiveDir.c_str(), 0700);
         const std::string tenant = "golden";
         ::unlink((archiveDir + "/" + tenant + ".smtr").c_str());
 
         live::ServiceConfig scfg;
-        scfg.socketPath = dir + "/chaos-" + scenario.name + ".sock";
+        scfg.socketPath =
+            test::tempPath("chaos-" + scenario.name + ".sock");
         ::unlink(scfg.socketPath.c_str());
         scfg.archiveDir = archiveDir;
         scfg.tcpPort = 0;
@@ -202,11 +203,10 @@ TEST(ChaosEndToEnd, SigkilledDaemonRestartsWithNothingLost)
     GTEST_SKIP() << "fork() after spawning threads is unsupported "
                     "under TSan";
 #endif
-    const std::string dir = ::testing::TempDir();
-    const std::string archiveDir = dir + "/chaos-kill9-archive";
+    const std::string archiveDir = test::tempPath("chaos-kill9-archive");
     ::mkdir(archiveDir.c_str(), 0700);
     ::unlink((archiveDir + "/kill9.smtr").c_str());
-    const std::string socketPath = dir + "/chaos-kill9.sock";
+    const std::string socketPath = test::tempPath("chaos-kill9.sock");
     ::unlink(socketPath.c_str());
 
     live::ServiceConfig scfg;
@@ -306,14 +306,13 @@ TEST(ChaosEndToEnd, SigkilledDaemonRestartsWithNothingLost)
 
 TEST(ChaosEndToEnd, EnospcFreezesTheArchiveWhileTheProducerSpools)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string archiveDir = dir + "/chaos-enospc-archive";
+    const std::string archiveDir = test::tempPath("chaos-enospc-archive");
     ::mkdir(archiveDir.c_str(), 0700);
     ::unlink((archiveDir + "/enospc.smtr").c_str());
 
     const auto plan = mustParse("enospc after=100\n");
     live::ServiceConfig scfg;
-    scfg.socketPath = dir + "/chaos-enospc.sock";
+    scfg.socketPath = test::tempPath("chaos-enospc.sock");
     ::unlink(scfg.socketPath.c_str());
     scfg.archiveDir = archiveDir;
     scfg.tcpPort = 0;

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -46,7 +47,7 @@ eventRange(std::uint64_t from, std::uint64_t to)
 std::string
 tempPath(const std::string &name)
 {
-    const std::string path = ::testing::TempDir() + "/" + name;
+    const std::string path = test::tempPath(name);
     ::unlink(path.c_str());
     return path;
 }

@@ -26,6 +26,7 @@
 #include "live/wire.hh"
 #include "trace/io.hh"
 #include "validate/rules.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -53,10 +54,9 @@ struct Daemon
     explicit Daemon(const std::string &name,
                     std::uint64_t ackInterval = 8)
     {
-        const std::string dir = ::testing::TempDir();
-        archiveDir = dir + "/robust-" + name + "-archive";
+        archiveDir = test::tempPath("robust-" + name + "-archive");
         ::mkdir(archiveDir.c_str(), 0700);
-        cfg.socketPath = dir + "/robust-" + name + ".sock";
+        cfg.socketPath = test::tempPath("robust-" + name + ".sock");
         ::unlink(cfg.socketPath.c_str());
         cfg.archiveDir = archiveDir;
         cfg.tcpPort = 0;
@@ -101,7 +101,7 @@ expectByteIdentical(const std::string &archivePath,
                     const std::vector<trace::TraceEvent> &events,
                     std::uint64_t seed)
 {
-    const std::string ref = ::testing::TempDir() + "/robust-ref.smtr";
+    const std::string ref = test::tempPath("robust-ref.smtr");
     ASSERT_TRUE(trace::saveTrace(ref, events, seed));
     std::vector<std::vector<unsigned char>> bytes(2);
     const std::string *paths[2] = {&archivePath, &ref};
@@ -202,8 +202,7 @@ TEST(RobustProducer, DegradesToTheSpoolAndReplaysOnReconnect)
 {
     // The daemon comes up only after the producer has already
     // buffered and spooled; the spool is then the replay source.
-    const std::string spool =
-        ::testing::TempDir() + "/robust-spool.smtr";
+    const std::string spool = test::tempPath("robust-spool.smtr");
     ::unlink(spool.c_str());
 
     std::shared_ptr<std::atomic<int>> port =

@@ -19,6 +19,7 @@
 #include "trace/io.hh"
 #include "validate/golden.hh"
 #include "validate/scenarios.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -55,10 +56,10 @@ TEST_P(LosslessLive, StreamedArchiveIsByteIdenticalToBatch)
     const auto result = validate::runScenario(*scenario);
     ASSERT_TRUE(result.completed);
 
-    const std::string liveFile = ::testing::TempDir() + "/live-" +
-                                 scenario->name + ".smtr";
-    const std::string batchFile = ::testing::TempDir() + "/batch-" +
-                                  scenario->name + ".smtr";
+    const std::string liveFile =
+        test::tempPath("live-" + scenario->name + ".smtr");
+    const std::string batchFile =
+        test::tempPath("batch-" + scenario->name + ".smtr");
     const std::uint64_t seed = result.config.seed;
 
     // Batch half: the classical save-after-the-run path.

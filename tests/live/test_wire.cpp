@@ -23,6 +23,7 @@
 #include "live/service.hh"
 #include "live/wire.hh"
 #include "trace/io.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -255,9 +256,8 @@ TEST(WireProtocol, TenantGlobMatchesLiteralsStarsAndQuestionMarks)
 
 TEST(LiveServiceEndToEnd, ProducerSubscriberArchiveAndStats)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string socketPath = dir + "/live-e2e.sock";
-    const std::string archiveDir = dir + "/live-e2e-archive";
+    const std::string socketPath = test::tempPath("live-e2e.sock");
+    const std::string archiveDir = test::tempPath("live-e2e-archive");
     ::mkdir(archiveDir.c_str(), 0700);
     ::unlink((archiveDir + "/alpha.smtr").c_str());
 
@@ -364,9 +364,8 @@ TEST(LiveServiceEndToEnd, ProducerSubscriberArchiveAndStats)
 
 TEST(LiveServiceEndToEnd, TcpResumeSessionAcksAndArchives)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string socketPath = dir + "/live-tcp.sock";
-    const std::string archiveDir = dir + "/live-tcp-archive";
+    const std::string socketPath = test::tempPath("live-tcp.sock");
+    const std::string archiveDir = test::tempPath("live-tcp-archive");
     ::mkdir(archiveDir.c_str(), 0700);
     ::unlink((archiveDir + "/gamma.smtr").c_str());
 
@@ -437,10 +436,9 @@ TEST(LiveServiceEndToEnd, TcpResumeSessionAcksAndArchives)
 
 TEST(LiveServiceEndToEnd, FifoCarriesAProducerStream)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string socketPath = dir + "/live-fifo.sock";
-    const std::string fifoPath = dir + "/live-fifo.in";
-    const std::string archiveDir = dir + "/live-fifo-archive";
+    const std::string socketPath = test::tempPath("live-fifo.sock");
+    const std::string fifoPath = test::tempPath("live-fifo.in");
+    const std::string archiveDir = test::tempPath("live-fifo-archive");
     ::mkdir(archiveDir.c_str(), 0700);
     ::unlink((archiveDir + "/feed.smtr").c_str());
     ::unlink(fifoPath.c_str());

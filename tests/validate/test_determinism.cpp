@@ -15,6 +15,7 @@
 #include "trace/io.hh"
 #include "validate/golden.hh"
 #include "validate/scenarios.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -49,8 +50,8 @@ TEST(Determinism, Fig10RerunIsBitIdentical)
 
     // The on-disk representation must be byte-identical as well,
     // otherwise saved traces could not serve as regression baselines.
-    const std::string path_a = ::testing::TempDir() + "/det-a.smtr";
-    const std::string path_b = ::testing::TempDir() + "/det-b.smtr";
+    const std::string path_a = test::tempPath("det-a.smtr");
+    const std::string path_b = test::tempPath("det-b.smtr");
     ASSERT_TRUE(trace::saveTrace(path_a, first.events));
     ASSERT_TRUE(trace::saveTrace(path_b, second.events));
     const std::string bytes_a = slurp(path_a);

@@ -18,6 +18,7 @@
 #include "validate/golden.hh"
 #include "validate/rules.hh"
 #include "validate/scenarios.hh"
+#include "temp_dir.hh"
 
 using namespace supmon;
 
@@ -116,8 +117,7 @@ TEST(GoldenDigest, HashCoversEveryField)
 TEST(GoldenFile, RoundTripsThroughDisk)
 {
     const validate::TraceDigest digest{0x0123456789abcdefULL, 4711};
-    const std::string path =
-        ::testing::TempDir() + "/roundtrip.golden";
+    const std::string path = test::tempPath("roundtrip.golden");
     ASSERT_TRUE(validate::saveGolden(path, digest));
     const auto loaded = validate::loadGolden(path);
     ASSERT_TRUE(loaded.has_value());

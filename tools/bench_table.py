@@ -36,6 +36,12 @@ def mevents(rates, key):
     return f"{value / 1e6:.1f}" if value else "n/a"
 
 
+def kevents(rates, key):
+    """Format rates[key] (events/s) as k events/s, or n/a."""
+    value = rates.get(key)
+    return f"{value / 1e3:.0f}" if value else "n/a"
+
+
 def ratio(rates, key):
     value = rates.get(key)
     return f"{value:.2f}x" if value else "n/a"
@@ -96,13 +102,13 @@ def render(query, reader, faults, live, sim):
         "schedule, ~2M standing events):",
         "",
         "| pure scheduler | vs seed heap | vs reference heap "
-        "| full machine (scaled-10x) | nodes in 512 MB |",
+        "| full machine (scaled-100x) | nodes in 512 MB |",
         "|---|---|---|---|---|",
-        "| {} M events/s | {} | {} | {} M events/s | {} |".format(
+        "| {} M events/s | {} | {} | {} k trace events/s | {} |".format(
             mevents(sim, "scheduler_ladder_events_per_sec"),
             ratio(sim, "speedup_ladder_vs_seed"),
             ratio(sim, "speedup_ladder_vs_reference"),
-            mevents(sim, "full_machine_scaled10x_events_per_sec"),
+            kevents(sim, "full_machine_scaled100x_trace_events_per_sec"),
             count(sim, "machine_nodes_at_512mb"),
         ),
         "",
