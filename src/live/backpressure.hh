@@ -40,21 +40,6 @@ enum class Backpressure
     ShedOldest,
 };
 
-/** Stable policy name ("block", "shed-newest", "shed-oldest"). */
-inline const char *
-backpressureName(Backpressure policy)
-{
-    switch (policy) {
-      case Backpressure::ShedNewest:
-        return "shed-newest";
-      case Backpressure::ShedOldest:
-        return "shed-oldest";
-      case Backpressure::Block:
-        break;
-    }
-    return "block";
-}
-
 /** Parse a policy name; false on anything unknown. */
 inline bool
 parseBackpressure(const std::string &name, Backpressure &policy)

@@ -163,7 +163,6 @@ class RobustProducer
     /** HelloResume on a fresh fd; replay everything past the floor.
      *  @return false (and disconnects) on any failure. */
     bool handshake();
-    bool replayFrom(std::uint64_t floor);
     bool sendBytes(const std::vector<unsigned char> &bytes);
     /** Send pending records in (sentHighSeq, lastSeq]. */
     bool flushUnsent();

@@ -27,7 +27,6 @@ AgentPool::submit(suprenum::Pid dst, std::uint32_t bytes, int tag,
     }
     // No free agent is available: a new agent is created and added to
     // the pool. It starts ready and will pick the message up.
-    created.push_back(kern.simulation().now());
     const unsigned index = static_cast<unsigned>(agents++);
     kern.spawn(prefix + "-agent-" + std::to_string(index),
                [this, index](suprenum::ProcessEnv env) {

@@ -101,13 +101,6 @@ class AgentPool
         return spurious;
     }
 
-    /** Creation time of each agent (diagnostic for pool growth). */
-    const std::vector<sim::Tick> &
-    creationTimes() const
-    {
-        return created;
-    }
-
   private:
     struct Work
     {
@@ -127,7 +120,6 @@ class AgentPool
     unsigned ownerTeam;
     suprenum::EventFlag wakeFlag;
     std::deque<Work> pending;
-    std::vector<sim::Tick> created;
     std::size_t agents = 0;
     std::uint64_t forwarded = 0;
     std::uint64_t spurious = 0;

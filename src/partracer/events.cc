@@ -22,10 +22,29 @@ logicalStreamOf(const zm4::RawRecord &rec,
     return streamOf(node, cls, agent_index);
 }
 
+std::string
+rayTracerStreamName(unsigned stream)
+{
+    const unsigned node = stream / streamsPerNode;
+    const unsigned sub = stream % streamsPerNode;
+    if (node == 0) {
+        if (sub == 0)
+            return "MASTER";
+        return sub == 1 ? "" : "AGENT " + std::to_string(sub - 2);
+    }
+    const std::string servant = "SERVANT " + std::to_string(node);
+    if (sub == 1)
+        return servant;
+    return sub == 0 ? ""
+                    : "AGENT " + std::to_string(sub - 2) + " (" +
+                          servant + ")";
+}
+
 trace::EventDictionary
 rayTracerDictionary()
 {
     trace::EventDictionary dict;
+    dict.setStreamNamer(rayTracerStreamName);
     // Master rows exactly as in Figures 7 and 9.
     dict.defineBegin(evDistributeJobsBegin, "Distribute Jobs Begin",
                      "DISTRIBUTE JOBS");
@@ -89,34 +108,6 @@ rayTracerDictionary()
     dict.definePoint(evInjectDelay, "Inject Delay");
     dict.definePoint(evInjectStall, "Inject Stall");
     return dict;
-}
-
-void
-nameRayTracerStreams(trace::EventDictionary &dict, unsigned nodes)
-{
-    for (unsigned node = 0; node < nodes; ++node) {
-        for (unsigned sub = 0; sub < streamsPerNode; ++sub) {
-            const unsigned stream = node * streamsPerNode + sub;
-            if (sub == 0) {
-                dict.nameStream(stream,
-                                node == 0 ? "MASTER"
-                                          : "NODE " +
-                                                std::to_string(node));
-            } else if (sub == 1) {
-                dict.nameStream(stream,
-                                "SERVANT " + std::to_string(node));
-            } else if (sub == 7 && node == 0) {
-                // Slot shared with overflow agents; on the master
-                // node it carries the fault daemon's timeline.
-                dict.nameStream(stream, "FAULTS");
-            } else {
-                dict.nameStream(stream,
-                                "AGENT " + std::to_string(sub - 2) +
-                                    " (node " + std::to_string(node) +
-                                    ")");
-            }
-        }
-    }
 }
 
 } // namespace par

@@ -15,6 +15,7 @@
 #define PARTRACER_EVENTS_HH
 
 #include <cstdint>
+#include <string>
 
 #include "trace/dictionary.hh"
 #include "zm4/event_recorder.hh"
@@ -160,18 +161,25 @@ streamOf(unsigned node_index, TokenClass cls, unsigned agent_index = 0)
 }
 
 /**
- * Build the evaluation dictionary for the ray tracer's events: state
- * names match the paper's Gantt chart rows.
+ * Name of a ray tracer stream, derived from its id alone: MASTER and
+ * AGENT k on node 0, SERVANT n and AGENT k (SERVANT n) on node n.
+ * Returns "" for the slots no object class of that node uses.
+ *
+ * The fault daemon shares node 0's last slot with agent 5 (streamOf),
+ * so this names it AGENT 5. A run that injects faults overrides that
+ * stream with "FAULTS" (runRayTracer); a saved trace's header does
+ * not record whether faults were injected, so a file read back names
+ * that stream AGENT 5.
  */
-trace::EventDictionary rayTracerDictionary();
+std::string rayTracerStreamName(unsigned stream);
 
 /**
- * Name the logical streams of @p nodes ray tracer nodes by their
- * conventions (MASTER / NODE n, SERVANT n, AGENT k) in @p dict, for
- * tools that evaluate saved traces without a RunResult.
+ * Build the evaluation dictionary for the ray tracer's events: state
+ * names match the paper's Gantt chart rows, and streams are named by
+ * rayTracerStreamName(), so runs, saved files and live streams name
+ * every stream the same way.
  */
-void nameRayTracerStreams(trace::EventDictionary &dict,
-                          unsigned nodes);
+trace::EventDictionary rayTracerDictionary();
 
 } // namespace par
 } // namespace supmon

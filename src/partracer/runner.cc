@@ -307,30 +307,15 @@ runRayTracer(const RunConfig &cfg)
     // ----- collect & evaluate -------------------------------------------------
     result.dictionary = rayTracerDictionary();
     result.masterStream = streamOf(0, TokenClass::Master);
-    result.dictionary.nameStream(result.masterStream, "MASTER");
-    for (unsigned a = 0; a < 6; ++a) {
-        result.dictionary.nameStream(
-            streamOf(0, TokenClass::Agent, a),
-            "AGENT " + std::to_string(a));
-    }
     if (injector && injector->active()) {
         // Overrides "AGENT 5" on node 0: the daemon borrows the last
         // stream slot of the master node (events.hh, streamOf).
         result.dictionary.nameStream(streamOf(0, TokenClass::Fault),
                                      "FAULTS");
     }
-    for (unsigned s = 0; s < cfg.numServants; ++s) {
-        const unsigned stream = streamOf(s + 1, TokenClass::Servant);
-        result.servantStreams.push_back(stream);
-        result.dictionary.nameStream(stream,
-                                     "SERVANT " + std::to_string(s + 1));
-        for (unsigned a = 0; a < 6; ++a) {
-            result.dictionary.nameStream(
-                streamOf(s + 1, TokenClass::Agent, a),
-                "AGENT " + std::to_string(a) + " (SERVANT " +
-                    std::to_string(s + 1) + ")");
-        }
-    }
+    for (unsigned s = 0; s < cfg.numServants; ++s)
+        result.servantStreams.push_back(
+            streamOf(s + 1, TokenClass::Servant));
 
     if (monitored) {
         result.events = zm4->harvest([](const zm4::RawRecord &rec) {

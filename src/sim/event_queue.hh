@@ -216,13 +216,6 @@ class Simulation
         return queuedCount == 0;
     }
 
-    /** Number of events currently queued (including cancelled). */
-    std::uint64_t
-    queuedEvents() const
-    {
-        return queuedCount;
-    }
-
     /** Total number of events executed so far. */
     std::uint64_t
     eventsExecuted() const

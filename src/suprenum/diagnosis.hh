@@ -66,12 +66,6 @@ class DiagnosisNode
         return matrix;
     }
 
-    const sim::SummaryStat &
-    transferSizeStat() const
-    {
-        return transferSize;
-    }
-
     /** Render the statistical record as a short report. */
     std::string report() const;
 

@@ -142,12 +142,6 @@ class NodeKernel
     NodeKernel &operator=(const NodeKernel &) = delete;
 
     /** @{ identity and environment access */
-    NodeId
-    nodeId() const
-    {
-        return id;
-    }
-
     Machine &
     machine()
     {
@@ -174,13 +168,6 @@ class NodeKernel
     processes() const
     {
         return lwps;
-    }
-
-    /** The currently running LWP, if any. */
-    Lwp *
-    runningLwp()
-    {
-        return running;
     }
 
     /** @{ devices */
@@ -262,14 +249,6 @@ class NodeKernel
     stateCount(LwpState s) const
     {
         return stateCensus[static_cast<std::size_t>(s)];
-    }
-
-    /** LWPs not yet terminated, in O(1). */
-    std::uint32_t
-    liveLwpCount() const
-    {
-        return static_cast<std::uint32_t>(lwps.size()) -
-               stateCount(LwpState::Terminated);
     }
 
     /** Multi-line state dump for deadlock diagnostics. */

@@ -39,6 +39,11 @@ EventDictionary::streamName(unsigned stream) const
     auto it = streamNames.find(stream);
     if (it != streamNames.end())
         return it->second;
+    if (namer) {
+        std::string name = namer(stream);
+        if (!name.empty())
+            return name;
+    }
     return sim::strprintf("STREAM %u", stream);
 }
 

@@ -77,6 +77,13 @@ class EventDictionary
     /** Distinct states in definition order. */
     std::vector<std::string> statesInOrder() const;
 
+    /**
+     * Derives a stream's name from its id; returns an empty string
+     * for streams it has no name for. A plain function, so a copied
+     * dictionary names streams the same way on every thread.
+     */
+    using StreamNamer = std::string (*)(unsigned stream);
+
     /** @{ stream naming */
     void
     nameStream(unsigned stream, const std::string &name)
@@ -84,6 +91,14 @@ class EventDictionary
         streamNames[stream] = name;
     }
 
+    void
+    setStreamNamer(StreamNamer fn)
+    {
+        namer = fn;
+    }
+
+    /** The nameStream() entry, else the namer's name, else
+     *  "STREAM n". */
     std::string streamName(unsigned stream) const;
 
     const std::map<unsigned, std::string> &
@@ -99,6 +114,7 @@ class EventDictionary
     std::vector<EventDef> defs;
     std::map<std::uint16_t, std::size_t> byToken;
     std::map<unsigned, std::string> streamNames;
+    StreamNamer namer = nullptr;
 };
 
 } // namespace trace

@@ -58,10 +58,6 @@ std::vector<TraceEvent> fromRawRecords(
 /** @return true if events are ordered by (timestamp, stream). */
 bool isTimeOrdered(const std::vector<TraceEvent> &events);
 
-/** Events of one stream only, preserving order. */
-std::vector<TraceEvent> filterStream(
-    const std::vector<TraceEvent> &events, unsigned stream);
-
 } // namespace trace
 } // namespace supmon
 

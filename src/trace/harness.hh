@@ -92,11 +92,6 @@ class MonitoringHarness
         return *recorders.at(index);
     }
 
-    zm4::MeasureTickGenerator &
-    tickGenerator()
-    {
-        return mtg;
-    }
     /** @} */
 
     /** @{ capture statistics over all recorders / interfaces */

@@ -54,23 +54,6 @@ csvField(const std::string &field)
 }
 
 std::string
-intervalsCsv(const ActivityMap &map, const EventDictionary &dict)
-{
-    std::ostringstream os;
-    os << "stream,state,begin_ns,end_ns,duration_ns\n";
-    for (const auto &iv : map.intervals()) {
-        os << sim::strprintf(
-            "%s,%s,%llu,%llu,%llu\n",
-            csvField(dict.streamName(iv.stream)).c_str(),
-            csvField(iv.state).c_str(),
-            static_cast<unsigned long long>(iv.begin),
-            static_cast<unsigned long long>(iv.end),
-            static_cast<unsigned long long>(iv.duration()));
-    }
-    return os.str();
-}
-
-std::string
 eventsCsv(const std::vector<TraceEvent> &events,
           const EventDictionary &dict)
 {

@@ -34,10 +34,6 @@ std::string stateStatisticsReport(const ActivityMap &map,
  */
 std::string csvField(const std::string &field);
 
-/** CSV with one row per state interval. */
-std::string intervalsCsv(const ActivityMap &map,
-                         const EventDictionary &dict);
-
 /** CSV with one row per event. */
 std::string eventsCsv(const std::vector<TraceEvent> &events,
                       const EventDictionary &dict);

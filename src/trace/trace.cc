@@ -39,16 +39,5 @@ isTimeOrdered(const std::vector<TraceEvent> &events)
                           });
 }
 
-std::vector<TraceEvent>
-filterStream(const std::vector<TraceEvent> &events, unsigned stream)
-{
-    std::vector<TraceEvent> out;
-    for (const auto &ev : events) {
-        if (ev.stream == stream)
-            out.push_back(ev);
-    }
-    return out;
-}
-
 } // namespace trace
 } // namespace supmon

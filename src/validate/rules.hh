@@ -420,12 +420,6 @@ class TraceValidator
     std::vector<Violation> validate(
         const std::vector<trace::TraceEvent> &events) const;
 
-    std::size_t
-    ruleCount() const
-    {
-        return rules.size();
-    }
-
     /** Cap on recorded violations per rule. */
     static constexpr std::size_t maxViolationsPerRule = 64;
 

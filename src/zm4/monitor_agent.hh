@@ -35,12 +35,6 @@ class MonitorAgent
     MonitorAgent(const MonitorAgent &) = delete;
     MonitorAgent &operator=(const MonitorAgent &) = delete;
 
-    const std::string &
-    agentName() const
-    {
-        return name;
-    }
-
     /** Register a recorder board; at most four fit into one PC/AT. */
     void attachRecorder(EventRecorder &recorder);
 

@@ -52,6 +52,23 @@ TEST(Dictionary, StreamNames)
     EXPECT_EQ(dict.namedStreams().size(), 1u);
 }
 
+TEST(Dictionary, StreamNamerFillsUnnamedStreams)
+{
+    EventDictionary dict;
+    dict.setStreamNamer([](unsigned stream) -> std::string {
+        return stream % 2 ? "ODD " + std::to_string(stream) : "";
+    });
+    dict.nameStream(3, "MASTER");
+    // An explicit name wins, then the namer, then "STREAM n".
+    EXPECT_EQ(dict.streamName(3), "MASTER");
+    EXPECT_EQ(dict.streamName(5), "ODD 5");
+    EXPECT_EQ(dict.streamName(4), "STREAM 4");
+
+    // A copy names streams the same way.
+    const EventDictionary copy = dict;
+    EXPECT_EQ(copy.streamName(7), "ODD 7");
+}
+
 TEST(DictionaryDeath, DuplicateTokenIsFatal)
 {
     EventDictionary dict;
@@ -119,17 +136,4 @@ TEST(TraceEvents, TimeOrderedCheck)
     EXPECT_TRUE(trace::isTimeOrdered(events));
     events[2].timestamp = 5;
     EXPECT_FALSE(trace::isTimeOrdered(events));
-}
-
-TEST(TraceEvents, FilterStream)
-{
-    std::vector<TraceEvent> events(4);
-    events[0].stream = 1;
-    events[1].stream = 2;
-    events[2].stream = 1;
-    events[3].stream = 3;
-    const auto only1 = trace::filterStream(events, 1);
-    EXPECT_EQ(only1.size(), 2u);
-    for (const auto &e : only1)
-        EXPECT_EQ(e.stream, 1u);
 }

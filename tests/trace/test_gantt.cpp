@@ -146,17 +146,6 @@ TEST(Report, StateStatisticsContainsRowsAndShares)
     EXPECT_NE(out.find("50.00%"), std::string::npos); // MASTER WORK
 }
 
-TEST(Report, IntervalsCsvHasHeaderAndRows)
-{
-    ChartFixture s;
-    const auto map =
-        ActivityMap::build(s.events, s.dict, sim::milliseconds(100));
-    const std::string csv = trace::intervalsCsv(map, s.dict);
-    EXPECT_EQ(csv.find("stream,state,begin_ns,end_ns,duration_ns"), 0u);
-    // Header + 4 intervals.
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
-}
-
 TEST(Report, EventsCsvResolvesNames)
 {
     ChartFixture s;

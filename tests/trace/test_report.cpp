@@ -1,13 +1,12 @@
 /**
  * @file
  * Tests of the CSV report emitters: RFC 4180 field quoting, the
- * empty-map and single-event edge cases, and stream/state names that
+ * empty-input and single-event edge cases, and stream/state names that
  * need escaping.
  */
 
 #include <gtest/gtest.h>
 
-#include "trace/activity.hh"
 #include "trace/report.hh"
 
 using namespace supmon;
@@ -49,9 +48,6 @@ TEST(ReportCsv, EmptyInputsEmitHeaderOnly)
 {
     trace::EventDictionary dict;
     dict.defineBegin(1, "Work Begin", "WORK");
-    const auto map = trace::ActivityMap::build({}, dict);
-    EXPECT_EQ(trace::intervalsCsv(map, dict),
-              "stream,state,begin_ns,end_ns,duration_ns\n");
     EXPECT_EQ(trace::eventsCsv({}, dict),
               "timestamp_ns,stream,token,name,param,flags\n");
 }
@@ -61,13 +57,6 @@ TEST(ReportCsv, SingleEventStream)
     trace::EventDictionary dict;
     dict.defineBegin(1, "Work Begin", "WORK");
     const std::vector<TraceEvent> events = {ev(100, 1)};
-
-    // One Begin event and an explicit trace end: exactly one
-    // interval, closed at the trace end.
-    const auto map = trace::ActivityMap::build(events, dict, 600);
-    EXPECT_EQ(trace::intervalsCsv(map, dict),
-              "stream,state,begin_ns,end_ns,duration_ns\n"
-              "STREAM 0,WORK,100,600,500\n");
     EXPECT_EQ(trace::eventsCsv(events, dict),
               "timestamp_ns,stream,token,name,param,flags\n"
               "100,STREAM 0,0x0001,Work Begin,0,0\n");
@@ -79,11 +68,6 @@ TEST(ReportCsv, NamesNeedingQuotingAreEscaped)
     dict.defineBegin(1, "Start \"critical\", phase A", "RUN,STOP");
     dict.nameStream(0, "NODE 0, PIPE");
     const std::vector<TraceEvent> events = {ev(100, 1, 0, 7)};
-
-    const auto map = trace::ActivityMap::build(events, dict, 200);
-    EXPECT_EQ(trace::intervalsCsv(map, dict),
-              "stream,state,begin_ns,end_ns,duration_ns\n"
-              "\"NODE 0, PIPE\",\"RUN,STOP\",100,200,100\n");
     EXPECT_EQ(
         trace::eventsCsv(events, dict),
         "timestamp_ns,stream,token,name,param,flags\n"

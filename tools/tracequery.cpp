@@ -9,11 +9,13 @@
  *   tracequery [options] "<query>" --follow <socket|fifo>
  *   tracequery --list-scenarios
  *
+ * --scenario takes any name --list-scenarios prints (the golden and
+ * the scaled scenarios); `all` runs the golden set.
+ *
  * Options:
  *   --format text|csv|json   output format (default text)
  *   --json                   shorthand for --format json
  *   --trace-end TIME         close open states at TIME (saved traces)
- *   --nodes N                name streams for N nodes (default 32)
  *   --jobs N                 worker threads (0 = all cores; default 1)
  *   --phase                  scenario mode: evaluate only the
  *                            measurement phase, the range the
@@ -85,7 +87,7 @@ usage(const char *argv0)
         "       %s [options] \"<query>\" --follow <socket|fifo>\n"
         "       %s --list-scenarios\n"
         "options: --format text|csv|json  --json  --trace-end TIME\n"
-        "         --nodes N  --jobs N  --phase  --reconnect[=N]\n"
+        "         --jobs N  --phase  --reconnect[=N]\n"
         "query:   filter stream=PAT token=PAT from=T to=T param=N |\n"
         "         window SIZE [slide STEP] |\n"
         "         count|states|utilization [state=S]|latency "
@@ -97,10 +99,9 @@ usage(const char *argv0)
 int
 queryFiles(const std::vector<std::string> &paths,
            const query::Query &parsed, query::OutputFormat format,
-           sim::Tick trace_end, unsigned nodes, unsigned jobs)
+           sim::Tick trace_end, unsigned jobs)
 {
-    trace::EventDictionary dict = par::rayTracerDictionary();
-    par::nameRayTracerStreams(dict, nodes);
+    const trace::EventDictionary dict = par::rayTracerDictionary();
     // One file: shard it across the workers. Several files: one
     // worker per file (the coarser, cheaper split), rendered output
     // buffered per file and printed in argument order so the result
@@ -181,10 +182,9 @@ attachStream(const std::string &path)
 int
 followStream(const std::string &path, const query::Query &parsed,
              query::OutputFormat format, sim::Tick trace_end,
-             unsigned nodes, bool reconnect, unsigned reconnectLimit)
+             bool reconnect, unsigned reconnectLimit)
 {
     trace::EventDictionary dict = par::rayTracerDictionary();
-    par::nameRayTracerStreams(dict, nodes);
     // Shed-accounting markers are first-class events: queries can
     // count them like any other token.
     live::addLiveTokens(dict);
@@ -327,7 +327,6 @@ main(int argc, char **argv)
     std::string follow;
     query::OutputFormat format = query::OutputFormat::Text;
     sim::Tick trace_end = 0;
-    unsigned nodes = 32;
     unsigned jobs = 1;
     bool phase_only = false;
     bool list = false;
@@ -346,13 +345,6 @@ main(int argc, char **argv)
         } else if (arg == "--trace-end" && i + 1 < argc) {
             if (!query::parseTime(argv[++i], trace_end)) {
                 std::fprintf(stderr, "bad time '%s'\n", argv[i]);
-                return 2;
-            }
-        } else if (arg == "--nodes" && i + 1 < argc) {
-            nodes = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (nodes == 0 || nodes > 4096) {
-                std::fprintf(stderr, "bad node count '%s'\n",
-                             argv[i]);
                 return 2;
             }
         } else if (arg == "--jobs" && i + 1 < argc) {
@@ -399,6 +391,9 @@ main(int argc, char **argv)
         for (const auto &s : validate::goldenScenarios())
             std::printf("%-16s %s\n", s.name.c_str(),
                         s.description.c_str());
+        for (const auto &s : validate::scaledScenarios())
+            std::printf("%-16s %s\n", s.name.c_str(),
+                        s.description.c_str());
         return 0;
     }
     if (!haveQuery)
@@ -413,12 +408,11 @@ main(int argc, char **argv)
 
     if (!follow.empty())
         return followStream(follow, parsed.query, format, trace_end,
-                            nodes, reconnect, reconnectLimit);
+                            reconnect, reconnectLimit);
     if (!scenario.empty())
         return queryScenarios(scenario, parsed.query, format,
                               phase_only, jobs);
     if (files.empty())
         return usage(argv[0]);
-    return queryFiles(files, parsed.query, format, trace_end, nodes,
-                      jobs);
+    return queryFiles(files, parsed.query, format, trace_end, jobs);
 }

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <algorithm>
 #include <string>
 
 #include "partracer/events.hh"
@@ -67,16 +66,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    trace::EventDictionary dict = par::rayTracerDictionary();
-    {
-        // Name the logical streams by the ray tracer's conventions
-        // (8 streams per node: master-class, servant-class, agents).
-        unsigned max_stream = 0;
-        for (const auto &ev : events)
-            max_stream = std::max(max_stream, ev.stream);
-        par::nameRayTracerStreams(
-            dict, max_stream / par::streamsPerNode + 1);
-    }
+    const trace::EventDictionary dict = par::rayTracerDictionary();
     const auto activity = trace::ActivityMap::build(events, dict);
     const std::string mode = argc > 2 ? argv[2] : "stats";
     if (mode != "gantt" && mode != "csv" && mode != "hist" &&
