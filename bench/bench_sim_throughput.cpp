@@ -190,9 +190,14 @@ struct SchedulerRun
  * 1..1000000 ticks and a message-sized closure payload, plus a
  * 2-event same-tick burst per eighth chain and a cancelled
  * far-future event per 64th chain. 6.5M executed events.
+ *
+ * Kept out of line, like measureFullMachine(): when the compiler
+ * inlined these into their callers, the ladder/seed ratio moved from
+ * 5.1-7.1x to 3.8-4.5x on unchanged kernels, so the code layout, not
+ * the kernels, decided the gated ratio.
  */
 template <typename Sim>
-SchedulerRun
+[[gnu::noinline]] SchedulerRun
 runSchedulerWorkload()
 {
     Sim simul;
@@ -345,9 +350,10 @@ residentBytes()
  * stably). Trace events, not scheduler events, because the recorded
  * trace is the same for every kernel version while the scheduler
  * events one hybrid_mon() costs are a modelling choice.
+ * Out of line for a stable layout (see runSchedulerWorkload()).
  * @return nonzero if the scenario did not complete.
  */
-int
+[[gnu::noinline]] int
 measureFullMachine(bench::JsonReport &report)
 {
     const validate::Scenario *scaled =

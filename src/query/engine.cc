@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "query/sharded.hh"
 #include "trace/io.hh"
 
 namespace supmon
@@ -93,8 +94,7 @@ FilterChain::CompiledFilter::accepts(
         return false;
     if (hasParam && (ev.param < paramLo || ev.param > paramHi))
         return false;
-    if (hasTokenFilter &&
-        !(tokenBits[ev.token >> 6] >> (ev.token & 63) & 1))
+    if (hasTokenFilter && !tokens.contains(ev.token))
         return false;
     if (!streamPatterns.empty()) {
         if (ev.stream < streamCache.size()) {
@@ -118,15 +118,8 @@ FilterChain::FilterChain(const Query &query,
     for (const FilterSpec &spec : query.filters) {
         CompiledFilter filter;
         filter.hasTokenFilter = !spec.tokenPatterns.empty();
-        if (filter.hasTokenFilter) {
-            filter.tokenBits.assign(65536 / 64, 0);
-            for (const auto &pattern : spec.tokenPatterns) {
-                for (std::uint16_t t :
-                     resolveTokenPattern(pattern, dict))
-                    filter.tokenBits[t >> 6] |= std::uint64_t(1)
-                                                << (t & 63);
-            }
-        }
+        for (const auto &pattern : spec.tokenPatterns)
+            filter.tokens.add(pattern, dict);
         filter.streamPatterns = spec.streamPatterns;
         filter.hasFrom = spec.hasFrom;
         filter.hasTo = spec.hasTo;
@@ -179,14 +172,13 @@ FilterChain::filterDecodeBatch(const unsigned char *raw,
     if (filters.size() == 1 && !filters[0].hasFrom &&
         !filters[0].hasTo && !filters[0].hasParam) {
         CompiledFilter &f = filters[0];
-        const std::uint64_t *tokenBits =
-            f.hasTokenFilter ? f.tokenBits.data() : nullptr;
+        const TokenSet *tokens =
+            f.hasTokenFilter ? &f.tokens : nullptr;
         const bool hasStreams = !f.streamPatterns.empty();
         for (std::size_t i = 0; i < n;
              ++i, raw += trace::TraceReader::recordBytes) {
             trace::TraceReader::decodeRecord(raw, ev);
-            if (tokenBits &&
-                !(tokenBits[ev.token >> 6] >> (ev.token & 63) & 1))
+            if (tokens && !tokens->contains(ev.token))
                 continue;
             if (hasStreams) {
                 // Flat cache hit is the steady state; the first
@@ -227,8 +219,8 @@ makeFoldContext(const Query &query,
     ctx.dict = &dict;
     ctx.window = query.window;
     ctx.traceEnd = trace_end;
-    // Compile the activity state machine once; the serial fold and
-    // every shard of a sharded run share it read-only.
+    // Compile the activity state machine once; every shard and the
+    // merge of a run share it read-only.
     if (query.fold.kind == FoldKind::States ||
         query.fold.kind == FoldKind::Utilization)
         ctx.stateTable = StateTable::compile(dict);
@@ -252,41 +244,12 @@ makeFoldContext(const Query &query,
     return ctx;
 }
 
-QueryEngine::QueryEngine(const Query &query,
-                         const trace::EventDictionary &dict,
-                         sim::Tick trace_end, const FilterSpec *range)
-    : chain(query, dict),
-      fold(makeFold(query.fold,
-                    makeFoldContext(query, dict, trace_end, range)))
-{
-}
-
-bool
-QueryEngine::onEvent(const trace::TraceEvent &ev)
-{
-    ++seen;
-    if (!chain.accepts(ev))
-        return false;
-    ++accepted;
-    fold->onEvent(ev);
-    return true;
-}
-
-Table
-QueryEngine::finish()
-{
-    return fold->finish();
-}
-
 Table
 runQuery(const std::vector<trace::TraceEvent> &events,
          const trace::EventDictionary &dict, const Query &query,
          sim::Tick trace_end)
 {
-    QueryEngine engine(query, dict, trace_end);
-    for (const auto &ev : events)
-        engine.onEvent(ev);
-    return engine.finish();
+    return runQuerySharded(events, dict, query, 1, trace_end);
 }
 
 Table
@@ -303,10 +266,7 @@ runPhaseQuery(const std::vector<trace::TraceEvent> &events,
     if (query.fold.kind != FoldKind::States &&
         query.fold.kind != FoldKind::Utilization)
         effective.filters.push_back(phase);
-    QueryEngine engine(effective, dict, end, &phase);
-    for (const auto &ev : events)
-        engine.onEvent(ev);
-    return engine.finish();
+    return runQuerySharded(events, dict, effective, 1, end, &phase);
 }
 
 bool
@@ -314,24 +274,8 @@ runQueryFile(const std::string &path,
              const trace::EventDictionary &dict, const Query &query,
              Table &out, std::string &error, sim::Tick trace_end)
 {
-    trace::TraceReader reader(path);
-    if (!reader.ok()) {
-        error = reader.error();
-        return false;
-    }
-    QueryEngine engine(query, dict, trace_end);
-    std::vector<trace::TraceEvent> batch(4096);
-    std::size_t n;
-    while ((n = reader.nextBatch(batch.data(), batch.size())) != 0) {
-        for (std::size_t i = 0; i < n; ++i)
-            engine.onEvent(batch[i]);
-    }
-    if (!reader.error().empty()) {
-        error = reader.error();
-        return false;
-    }
-    out = engine.finish();
-    return true;
+    return runQueryFileSharded(path, dict, query, 1, out, error,
+                               trace_end);
 }
 
 } // namespace query

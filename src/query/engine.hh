@@ -1,18 +1,16 @@
 /**
  * @file
- * The streaming query engine: binds a parsed Query to an event
- * dictionary, then consumes a trace one event at a time — from memory
- * or straight from a trace::TraceReader — applying the filter stages
- * and feeding the fold sink. Memory use is bounded by the fold's
- * aggregation state, never by the trace length.
+ * The query entry points: the compiled filter stages, the fold
+ * context a query implies, and the one-shard runs of the sharded
+ * executor (query/sharded.hh) over an in-memory trace, a measurement
+ * phase of it, or a saved trace file. Memory use is discussed in
+ * query/folds.hh.
  */
 
 #ifndef QUERY_ENGINE_HH
 #define QUERY_ENGINE_HH
 
-#include <functional>
 #include <map>
-#include <set>
 
 #include "query/folds.hh"
 #include "query/query.hh"
@@ -28,7 +26,7 @@ namespace query
 /**
  * The compiled `filter` stages of a query: resolves token patterns
  * against the dictionary once, then decides accept/reject per event.
- * Token sets compile to a 64 Ki bitmap (one load + mask per test)
+ * Token sets compile to a TokenSet bitmap (one load + mask per test)
  * and stream-name glob results are cached in a flat per-stream-id
  * table, so a chain is stateful (not const) but a few loads per
  * event. Each shard of the sharded executor compiles its own chain —
@@ -67,7 +65,7 @@ class FilterChain
      * records never touch a batch array, which is what pushes the
      * filter+count pipeline past the plain decode-then-filter
      * throughput. Survivor order is the record order, so the fold
-     * sees exactly the sequence the per-event path accepts.
+     * sees exactly the sequence accepts() would pass.
      * @return the number of surviving records.
      */
     std::size_t filterDecodeBatch(const unsigned char *raw,
@@ -79,8 +77,7 @@ class FilterChain
     struct CompiledFilter
     {
         bool hasTokenFilter = false;
-        /** Accepted-token bitmap, 65536 bits (empty if no filter). */
-        std::vector<std::uint64_t> tokenBits;
+        TokenSet tokens;
         std::vector<std::string> streamPatterns;
         /** Lazy glob-vs-stream-name results, flat per stream id
          *  (-1 unknown / 0 reject / 1 accept); ids past the flat
@@ -109,65 +106,16 @@ class FilterChain
  * The fold context a query implies: dictionary, window spec, the
  * narrowest explicit time range across the filter stages (and
  * @p range, an evaluation range that filters nothing), and the
- * trace-end close time. Serial and sharded execution derive their
- * (identical) context through this one function.
+ * trace-end close time. Every shard and the merge of a run share
+ * the context this one function derives.
  */
 FoldContext makeFoldContext(const Query &query,
                             const trace::EventDictionary &dict,
                             sim::Tick trace_end,
                             const FilterSpec *range = nullptr);
 
-class QueryEngine
-{
-  public:
-    /**
-     * @param trace_end close still-open activity states at this
-     *        time, like ActivityMap::build(); 0 = last event.
-     * @param range optional evaluation range of the folds that is
-     *        not a filter (see runPhaseQuery).
-     */
-    QueryEngine(const Query &query,
-                const trace::EventDictionary &dict,
-                sim::Tick trace_end = 0,
-                const FilterSpec *range = nullptr);
-
-    /**
-     * Feed one event (in trace order).
-     * @return whether it passed every filter stage.
-     */
-    bool onEvent(const trace::TraceEvent &ev);
-
-    /** Live preview; see Fold::sealWindowsBefore(). */
-    void
-    sealWindowsBefore(sim::Tick now, const Fold::WindowSink &sink)
-    {
-        fold->sealWindowsBefore(now, sink);
-    }
-
-    /** End of stream; call once. */
-    Table finish();
-
-    /** Events that passed every filter stage. */
-    std::uint64_t
-    eventsAccepted() const
-    {
-        return accepted;
-    }
-
-    std::uint64_t
-    eventsSeen() const
-    {
-        return seen;
-    }
-
-  private:
-    FilterChain chain;
-    std::unique_ptr<Fold> fold;
-    std::uint64_t seen = 0;
-    std::uint64_t accepted = 0;
-};
-
-/** Run a query over an in-memory trace. */
+/** Run a query over an in-memory trace: runQuerySharded() with one
+ *  shard. */
 Table runQuery(const std::vector<trace::TraceEvent> &events,
                const trace::EventDictionary &dict, const Query &query,
                sim::Tick trace_end = 0);
@@ -183,7 +131,8 @@ Table runQuery(const std::vector<trace::TraceEvent> &events,
  * start; their intervals are clamped to the range, and intervals
  * wholly outside it do not count. The event-based folds (`count`,
  * `latency`, `rtt`) see only the events inside the range. Open states
- * close at @p end.
+ * close at @p end. One shard of runQuerySharded(), with the range
+ * as its evaluation range.
  */
 Table runPhaseQuery(const std::vector<trace::TraceEvent> &events,
                     const trace::EventDictionary &dict,
@@ -191,8 +140,9 @@ Table runPhaseQuery(const std::vector<trace::TraceEvent> &events,
                     sim::Tick end);
 
 /**
- * Run a query over a saved trace file in a single streaming pass
- * (no full-trace vector).
+ * Run a query over a saved trace file: runQueryFileSharded() with
+ * one shard, a single streaming pass over the records (the trace is
+ * never loaded as a whole).
  * @return false with @p error set if the file is unreadable or
  *         truncated.
  */

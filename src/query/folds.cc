@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -14,6 +15,25 @@ namespace supmon
 {
 namespace query
 {
+
+/** A fold kind's merge state; see ShardMerge. */
+class ShardMerge::Accumulator
+{
+  public:
+    using WindowSink = ShardMerge::WindowSink;
+
+    virtual ~Accumulator() = default;
+    virtual void absorb(ShardFold &shard) = 0;
+
+    virtual void
+    sealWindowsBefore(sim::Tick now, const WindowSink &sink)
+    {
+        (void)now;
+        (void)sink;
+    }
+
+    virtual Table finish() = 0;
+};
 
 namespace
 {
@@ -41,8 +61,7 @@ stateTableFor(const FoldContext &ctx)
 
 /**
  * The open-state machine of ActivityMap::build(), streamed, and the
- * only one in the query engine: the serial folds, the shard partials
- * and (through the folds) the live preview all run it. It emits each
+ * only one in the query engine: every StateShard runs it. It emits each
  * closed StateInterval-equivalent through a callback instead of
  * collecting a vector. Feeding it the same events in the same order
  * produces the same intervals, per stream in the same order, so
@@ -127,33 +146,6 @@ class StateTracker
             f(kv.first, kv.second);
     }
 
-    /** Close still-open states at the trace end (@p trace_end, or the
-     *  last event if later); call exactly once, at end of stream.
-     *  Streams are visited in ascending id order. */
-    template <typename Emit>
-    void
-    close(sim::Tick trace_end, Emit &&emit)
-    {
-        endTs = trace_end ? std::max(trace_end, lastTs) : lastTs;
-        forEachOpen([this, &emit](unsigned stream, const Slot &cur) {
-            if (endTs > cur.since)
-                emit(stream, cur.sid, cur.since, endTs);
-        });
-    }
-
-    /**
-     * Sharded merge: adopt the global first/last-event state so that
-     * close() and traceBegin()/traceCloseTime() reproduce what a
-     * serial tracker fed the whole accepted stream would compute.
-     */
-    void
-    prime(bool saw, sim::Tick first, sim::Tick last)
-    {
-        sawEvent = saw;
-        firstTs = first;
-        lastTs = last;
-    }
-
     bool
     any() const
     {
@@ -170,13 +162,6 @@ class StateTracker
     lastEvent() const
     {
         return lastTs;
-    }
-
-    /** Valid after close(). */
-    sim::Tick
-    traceCloseTime() const
-    {
-        return endTs;
     }
 
   private:
@@ -197,7 +182,6 @@ class StateTracker
     std::map<unsigned, Slot> overflow;
     sim::Tick firstTs = 0;
     sim::Tick lastTs = 0;
-    sim::Tick endTs = 0;
     bool sawEvent = false;
 };
 
@@ -264,608 +248,11 @@ struct Windower
     }
 };
 
-// ---------------------------------------------------------------- count
-
-class CountFold : public Fold
-{
-  public:
-    explicit CountFold(const FoldContext &ctx) : context(ctx)
-    {
-        if (context.window) {
-            windower.spec = *context.window;
-            if (context.hasFrom)
-                windower.anchor(context.from);
-        }
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        if (!context.window) {
-            ++counts[{0, ev.stream, ev.token}];
-            return;
-        }
-        windower.anchor(ev.timestamp);
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        if (!windower.indicesOf(ev.timestamp, lo, hi))
-            return;
-        for (std::int64_t k = lo; k <= hi; ++k)
-            ++counts[{k, ev.stream, ev.token}];
-    }
-
-    Table
-    finish() override
-    {
-        Table table = emptyTable();
-        for (const auto &kv : counts)
-            addRow(table, kv);
-        return table;
-    }
-
-    void
-    sealWindowsBefore(sim::Tick now, const WindowSink &sink) override
-    {
-        if (!context.window)
-            return;
-        // The map is window-major, so each window's rows are one run
-        // of it, in finish()'s row order.
-        const std::int64_t ended = windower.endedBy(now);
-        auto it = counts.lower_bound({sealed, 0, 0});
-        while (it != counts.end() && std::get<0>(it->first) < ended) {
-            const std::int64_t k = std::get<0>(it->first);
-            Table table = emptyTable();
-            for (; it != counts.end() && std::get<0>(it->first) == k;
-                 ++it)
-                addRow(table, *it);
-            sink(table);
-        }
-        sealed = std::max(sealed, ended);
-    }
-
-    /** Sharded merge (unwindowed): add a pre-counted aggregate. */
-    void
-    absorbCount(unsigned stream, std::uint16_t token,
-                std::uint64_t n)
-    {
-        counts[{0, stream, token}] += n;
-    }
-
-  private:
-    using Counts =
-        std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
-                 std::uint64_t>;
-
-    Table
-    emptyTable() const
-    {
-        Table table;
-        if (context.window)
-            table.columns.push_back("window_ms");
-        table.columns.insert(table.columns.end(),
-                             {"stream", "event", "count"});
-        return table;
-    }
-
-    void
-    addRow(Table &table, const Counts::value_type &kv) const
-    {
-        const auto &[window, stream, token] = kv.first;
-        std::vector<Value> row;
-        if (context.window) {
-            row.push_back(Value::number(
-                sim::toMilliseconds(windower.startOf(window))));
-        }
-        row.push_back(Value::str(context.dict->streamName(stream)));
-        row.push_back(Value::str(tokenName(*context.dict, token)));
-        row.push_back(Value::count(kv.second));
-        table.addRow(std::move(row));
-    }
-
-    FoldContext context;
-    Windower windower;
-    Counts counts;
-    /** Windows below this index were handed to a WindowSink. */
-    std::int64_t sealed = 0;
-};
-
-// ---------------------------------------------------------------- states
-
-class StatesFold : public Fold
-{
-  public:
-    explicit StatesFold(const FoldContext &ctx)
-        : context(ctx), table(stateTableFor(ctx)), tracker(table)
-    {
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        tracker.onEvent(ev, [this](unsigned stream,
-                                   std::uint16_t sid,
-                                   sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
-    }
-
-    Table
-    finish() override
-    {
-        tracker.close(context.traceEnd,
-                      [this](unsigned stream, std::uint16_t sid,
-                             sim::Tick begin, sim::Tick end) {
-                          addInterval(stream, sid, begin, end);
-                      });
-        const sim::Tick t0 =
-            context.hasFrom ? context.from : tracker.traceBegin();
-        const sim::Tick t1 =
-            context.hasTo ? context.to : tracker.traceCloseTime();
-
-        Table table_;
-        table_.columns = {"stream",  "state",  "count",
-                          "total_ms", "mean_ms", "min_ms",
-                          "max_ms",  "share"};
-        // Streams ascending, states in statesInOrder() order (which
-        // state ids index by construction) — the exact row order of
-        // the string-keyed implementation this replaces.
-        for (const auto &kv : perStream) {
-            for (std::size_t sid = 0; sid < kv.second.size();
-                 ++sid) {
-                const Slot &slot = kv.second[sid];
-                if (slot.stat.count() == 0)
-                    continue;
-                const double share =
-                    t1 > t0 ? static_cast<double>(slot.covered) /
-                                  static_cast<double>(t1 - t0)
-                            : 0.0;
-                table_.addRow(
-                    {Value::str(context.dict->streamName(kv.first)),
-                     Value::str(table->states[sid]),
-                     Value::count(slot.stat.count()),
-                     Value::number(slot.stat.sum() * 1e-6),
-                     Value::number(slot.stat.mean() * 1e-6),
-                     Value::number(slot.stat.min() * 1e-6),
-                     Value::number(slot.stat.max() * 1e-6),
-                     Value::number(share)});
-            }
-        }
-        return table_;
-    }
-
-  private:
-    /** Per-(stream, state) accumulation; indexed by state id. */
-    struct Slot
-    {
-        sim::SummaryStat stat;
-        sim::Tick covered = 0;
-    };
-
-    void
-    addInterval(unsigned stream, std::uint16_t sid, sim::Tick begin,
-                sim::Tick end)
-    {
-        // Overlap with the evaluation range, clamped per interval; an
-        // interval outside it (possible only when the range is not
-        // also a filter, see runPhaseQuery) is not counted at all.
-        const sim::Tick lo = context.hasFrom
-                                 ? std::max(begin, context.from)
-                                 : begin;
-        const sim::Tick hi =
-            context.hasTo ? std::min(end, context.to) : end;
-        if (hi <= lo)
-            return;
-        auto it = perStream.find(stream);
-        if (it == perStream.end()) {
-            it = perStream
-                     .emplace(stream,
-                              std::vector<Slot>(table->states.size()))
-                     .first;
-        }
-        Slot &slot = it->second[sid];
-        slot.stat.push(static_cast<double>(end - begin));
-        slot.covered += hi - lo;
-    }
-
-    FoldContext context;
-    std::shared_ptr<const StateTable> table;
-    StateTracker tracker;
-    std::map<unsigned, std::vector<Slot>> perStream;
-};
-
-// ----------------------------------------------------------- utilization
-
-class UtilizationFold : public Fold
-{
-  public:
-    UtilizationFold(const FoldSpec &spec, const FoldContext &ctx)
-        : context(ctx), state(spec.state),
-          table(stateTableFor(ctx)), targetSid(table->idOf(state)),
-          tracker(table)
-    {
-        if (context.window) {
-            windower.spec = *context.window;
-            if (context.hasFrom)
-                windower.anchor(context.from);
-        }
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        if (context.window)
-            windower.anchor(ev.timestamp);
-        tracker.onEvent(ev, [this](unsigned stream,
-                                   std::uint16_t sid,
-                                   sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
-    }
-
-    Table
-    finish() override
-    {
-        tracker.close(context.traceEnd,
-                      [this](unsigned stream, std::uint16_t sid,
-                             sim::Tick begin, sim::Tick end) {
-                          addInterval(stream, sid, begin, end);
-                      });
-        const sim::Tick t0 =
-            context.hasFrom ? context.from : tracker.traceBegin();
-        const sim::Tick t1 =
-            context.hasTo ? context.to : tracker.traceCloseTime();
-
-        Table table;
-        if (!context.window) {
-            table.columns = {"stream", "state", "utilization"};
-            for (unsigned stream : streams) {
-                sim::Tick covered = 0;
-                if (auto it = overlap.find({0, stream});
-                    it != overlap.end())
-                    covered = it->second;
-                const double u =
-                    t1 > t0 ? static_cast<double>(covered) /
-                                  static_cast<double>(t1 - t0)
-                            : 0.0;
-                table.addRow(
-                    {Value::str(context.dict->streamName(stream)),
-                     Value::str(state), Value::number(u)});
-            }
-            return table;
-        }
-
-        table = emptyWindowTable();
-        const std::int64_t last = windower.lastIndexBefore(t1);
-        // Dense rows (a value for every window) unless that would
-        // explode; tiny windows over a long trace fall back to the
-        // windows that actually saw the state.
-        const bool dense =
-            last >= 0 &&
-            (last + 1) * static_cast<std::int64_t>(
-                             std::max<std::size_t>(streams.size(), 1)) <=
-                200000;
-        if (dense) {
-            for (std::int64_t k = 0; k <= last; ++k) {
-                for (unsigned stream : streams) {
-                    sim::Tick covered = 0;
-                    if (auto it = overlap.find({k, stream});
-                        it != overlap.end())
-                        covered = it->second;
-                    addWindowRow(table, k, stream, covered);
-                }
-            }
-        } else {
-            for (const auto &kv : overlap)
-                addWindowRow(table, kv.first.first, kv.first.second,
-                             kv.second);
-        }
-        return table;
-    }
-
-    /**
-     * Fixed windows only. A window's row carries its closed
-     * intervals plus, for a state still open past the window's end,
-     * the stretch up to that edge — what this fold will account once
-     * the interval closes, at or after @p now. Rows are the nonzero
-     * ones; the dense final table adds the all-zero rows.
-     */
-    void
-    sealWindowsBefore(sim::Tick now, const WindowSink &sink) override
-    {
-        if (!context.window)
-            return;
-        const std::int64_t ended = windower.endedBy(now);
-        bool openTarget = false;
-        tracker.forEachOpen(
-            [this, &openTarget](unsigned, const StateTracker::Slot &cur) {
-                openTarget = openTarget || cur.sid == targetSid;
-            });
-        for (std::int64_t k = sealed; k < ended; ++k) {
-            if (!openTarget) {
-                // Only closed intervals: jump over empty windows.
-                const auto next = overlap.lower_bound({k, 0});
-                if (next == overlap.end() || next->first.first >= ended)
-                    break;
-                k = next->first.first;
-            }
-            const sim::Tick wlo = windower.startOf(k);
-            const sim::Tick whi = wlo + windower.spec.size;
-            std::map<unsigned, sim::Tick> covered;
-            for (auto it = overlap.lower_bound({k, 0});
-                 it != overlap.end() && it->first.first == k; ++it)
-                covered[it->first.second] = it->second;
-            tracker.forEachOpen(
-                [&](unsigned stream, const StateTracker::Slot &cur) {
-                    if (cur.sid == targetSid && cur.since < whi)
-                        covered[stream] += whi - std::max(cur.since, wlo);
-                });
-            if (covered.empty())
-                continue;
-            Table rows = emptyWindowTable();
-            for (const auto &kv : covered)
-                addWindowRow(rows, k, kv.first, kv.second);
-            sink(rows);
-        }
-        sealed = std::max(sealed, ended);
-    }
-
-    /** Sharded merge: adopt global event bounds (see
-     *  StateTracker::prime). */
-    void
-    primeTracker(bool saw, sim::Tick first, sim::Tick last)
-    {
-        tracker.prime(saw, first, last);
-    }
-
-    /** Sharded merge: anchor the window origin at the global first
-     *  accepted event (no-op when already anchored or unwindowed). */
-    void
-    anchorOrigin(sim::Tick t)
-    {
-        if (context.window)
-            windower.anchor(t);
-    }
-
-    /** Sharded merge: replay one stitched interval. */
-    void
-    absorbInterval(unsigned stream, std::uint16_t sid,
-                   sim::Tick begin, sim::Tick end)
-    {
-        addInterval(stream, sid, begin, end);
-    }
-
-  private:
-    static Table
-    emptyWindowTable()
-    {
-        Table table;
-        table.columns = {"window_ms", "stream", "state",
-                         "utilization"};
-        return table;
-    }
-
-    void
-    addWindowRow(Table &table, std::int64_t k, unsigned stream,
-                 sim::Tick covered) const
-    {
-        table.addRow(
-            {Value::number(sim::toMilliseconds(windower.startOf(k))),
-             Value::str(context.dict->streamName(stream)),
-             Value::str(state),
-             Value::number(static_cast<double>(covered) /
-                           static_cast<double>(windower.spec.size))});
-    }
-
-    void
-    addInterval(unsigned stream, std::uint16_t sid, sim::Tick begin,
-                sim::Tick end)
-    {
-        streams.insert(stream);
-        // An unknown target state compiles to noState, which no
-        // tracked interval carries — zero utilization rows, exactly
-        // like the string comparison this replaces.
-        if (sid != targetSid)
-            return;
-        // Clamp to the evaluation range.
-        const sim::Tick lo =
-            context.hasFrom ? std::max(begin, context.from) : begin;
-        const sim::Tick hi =
-            context.hasTo ? std::min(end, context.to) : end;
-        if (!context.window) {
-            if (hi > lo)
-                overlap[{0, stream}] += hi - lo;
-            return;
-        }
-        const sim::Tick b = std::max(lo, windower.origin);
-        if (hi <= b)
-            return;
-        std::int64_t first = 0;
-        std::int64_t unused = 0;
-        if (!windower.indicesOf(b, first, unused))
-            return;
-        const std::int64_t lastTouched = windower.lastIndexBefore(hi);
-        for (std::int64_t k = first; k <= lastTouched; ++k) {
-            const sim::Tick wlo = windower.startOf(k);
-            const sim::Tick whi = wlo + windower.spec.size;
-            const sim::Tick a = std::max(lo, wlo);
-            const sim::Tick z = std::min(hi, whi);
-            if (z > a)
-                overlap[{k, stream}] += z - a;
-        }
-    }
-
-    FoldContext context;
-    std::string state;
-    std::shared_ptr<const StateTable> table;
-    std::uint16_t targetSid;
-    StateTracker tracker;
-    Windower windower;
-    std::set<unsigned> streams;
-    std::map<std::pair<std::int64_t, unsigned>, sim::Tick> overlap;
-    /** Windows below this index were handed to a WindowSink. */
-    std::int64_t sealed = 0;
-};
-
-// --------------------------------------------------------------- latency
-
-class LatencyFold : public Fold
-{
-  public:
-    LatencyFold(const FoldSpec &spec, const FoldContext &ctx)
-        : context(ctx), bins(spec.bins), histMax(spec.histMax)
-    {
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        auto it = lastSeen.find(ev.stream);
-        if (it != lastSeen.end()) {
-            pushGap(ev.stream, ev.timestamp - it->second);
-            it->second = ev.timestamp;
-        } else {
-            lastSeen[ev.stream] = ev.timestamp;
-        }
-    }
-
-    /** One inter-event gap; also the sharded-merge replay entry
-     *  point (gaps are exact tick differences, so replaying them in
-     *  serial order reproduces the serial doubles bit for bit). */
-    void
-    pushGap(unsigned stream, sim::Tick gapTicks)
-    {
-        const double gap = static_cast<double>(gapTicks);
-        stats[stream].push(gap);
-        if (bins) {
-            auto h = hists.find(stream);
-            if (h == hists.end()) {
-                h = hists
-                        .emplace(stream,
-                                 sim::Histogram(
-                                     0.0,
-                                     static_cast<double>(histMax),
-                                     bins))
-                        .first;
-            }
-            h->second.push(gap);
-        }
-    }
-
-    Table
-    finish() override
-    {
-        Table table;
-        if (!bins) {
-            table.columns = {"stream", "pairs",  "mean_ms",
-                             "min_ms", "max_ms", "stddev_ms"};
-            for (const auto &kv : stats) {
-                const sim::SummaryStat &s = kv.second;
-                table.addRow(
-                    {Value::str(context.dict->streamName(kv.first)),
-                     Value::count(s.count()),
-                     Value::number(s.mean() * 1e-6),
-                     Value::number(s.min() * 1e-6),
-                     Value::number(s.max() * 1e-6),
-                     Value::number(s.stddev() * 1e-6)});
-            }
-            return table;
-        }
-        table.columns = {"stream", "bin", "lo_ms", "count"};
-        for (const auto &kv : hists) {
-            const std::string name =
-                context.dict->streamName(kv.first);
-            const sim::Histogram &h = kv.second;
-            for (std::size_t b = 0; b < h.bins(); ++b) {
-                table.addRow({Value::str(name),
-                              Value::str(std::to_string(b)),
-                              Value::number(h.binLower(b) * 1e-6),
-                              Value::count(h.binCount(b))});
-            }
-            table.addRow(
-                {Value::str(name), Value::str("overflow"),
-                 Value::number(sim::toMilliseconds(histMax)),
-                 Value::count(h.overflow())});
-        }
-        return table;
-    }
-
-  private:
-    FoldContext context;
-    std::size_t bins = 0;
-    sim::Tick histMax = 0;
-    std::map<unsigned, sim::Tick> lastSeen;
-    std::map<unsigned, sim::SummaryStat> stats;
-    std::map<unsigned, sim::Histogram> hists;
-};
-
-// ------------------------------------------------------------------- rtt
-
-class RttFold : public Fold
-{
-  public:
-    RttFold(const FoldSpec &spec, const FoldContext &ctx)
-    {
-        for (std::uint16_t t :
-             resolveTokenPattern(spec.beginPattern, *ctx.dict))
-            beginTokens.insert(t);
-        for (std::uint16_t t :
-             resolveTokenPattern(spec.endPattern, *ctx.dict))
-            endTokens.insert(t);
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        if (beginTokens.count(ev.token)) {
-            // Key on the parameter (the job id in the ray tracer's
-            // protocol); the first begin wins.
-            if (!pending.emplace(ev.param, ev.timestamp).second)
-                ++duplicateBegins;
-        } else if (endTokens.count(ev.token)) {
-            auto it = pending.find(ev.param);
-            if (it == pending.end()) {
-                ++unmatchedEnds;
-                return;
-            }
-            stats.push(
-                static_cast<double>(ev.timestamp - it->second));
-            pending.erase(it);
-        }
-    }
-
-    Table
-    finish() override
-    {
-        Table table;
-        table.columns = {"pairs",   "unmatched_begin",
-                         "unmatched_end", "mean_ms", "min_ms",
-                         "max_ms",  "stddev_ms"};
-        table.addRow(
-            {Value::count(stats.count()),
-             Value::count(pending.size() + duplicateBegins),
-             Value::count(unmatchedEnds),
-             Value::number(stats.mean() * 1e-6),
-             Value::number(stats.min() * 1e-6),
-             Value::number(stats.max() * 1e-6),
-             Value::number(stats.stddev() * 1e-6)});
-        return table;
-    }
-
-  private:
-    std::set<std::uint16_t> beginTokens;
-    std::set<std::uint16_t> endTokens;
-    std::map<std::uint32_t, sim::Tick> pending;
-    sim::SummaryStat stats;
-    std::uint64_t duplicateBegins = 0;
-    std::uint64_t unmatchedEnds = 0;
-};
-
 // ======================================================= shard partials
 //
-// One class per fold kind, mirroring the serial folds above. Each
-// accumulates only what can be aggregated without global knowledge;
-// mergeShardFolds() stitches the partials in shard order so the
-// result is bit-exact with the serial fold (see folds.hh).
+// One class per fold kind. Each accumulates only what can be
+// aggregated without global knowledge; ShardMerge absorbs the
+// partials in shard order (see folds.hh).
 
 /** Minimal accepted-event tuple for origin-dependent replay. */
 struct MiniEvent
@@ -910,18 +297,15 @@ class CountTable
         ++vals[i];
     }
 
-    /** (key, count) pairs sorted by key (= stream-major order). */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    sortedEntries() const
+    /** Visit every (key, count) pair, in table order. */
+    template <typename F>
+    void
+    forEach(F &&f) const
     {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-        out.reserve(used);
         for (std::size_t i = 0; i < capacity; ++i) {
             if (keys[i] != emptyKey)
-                out.emplace_back(keys[i], vals[i]);
+                f(keys[i], vals[i]);
         }
-        std::sort(out.begin(), out.end());
-        return out;
     }
 
   private:
@@ -956,7 +340,9 @@ class CountTable
         }
     }
 
-    std::size_t capacity = 1024;
+    /** Small to start with: the live engine makes one table per
+     *  pushed batch. */
+    std::size_t capacity = 64;
     std::size_t used = 0;
     std::vector<std::uint64_t> keys;
     std::vector<std::uint64_t> vals;
@@ -1187,17 +573,13 @@ class LatencyShard : public ShardFold
     std::map<unsigned, PerStream> streams;
 };
 
-class RttShard : public ShardFold
+class RttShard final : public ShardFold
 {
   public:
     RttShard(const FoldSpec &spec, const FoldContext &ctx)
     {
-        for (std::uint16_t t :
-             resolveTokenPattern(spec.beginPattern, *ctx.dict))
-            relevant.insert(t);
-        for (std::uint16_t t :
-             resolveTokenPattern(spec.endPattern, *ctx.dict))
-            relevant.insert(t);
+        relevant.add(spec.beginPattern, *ctx.dict);
+        relevant.add(spec.endPattern, *ctx.dict);
     }
 
     void
@@ -1208,8 +590,26 @@ class RttShard : public ShardFold
         // local match can differ from the global one (the matching
         // begin may live in an earlier shard). Buffer the relevant
         // events and replay the pairing serially at merge time.
-        if (relevant.count(ev.token))
+        if (relevant.contains(ev.token))
             buffer.push_back({ev.timestamp, ev.param, ev.token});
+    }
+
+    void
+    onBatch(const trace::TraceEvent *events, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            RttShard::onEvent(events[i]);
+    }
+
+    void
+    onRawBatch(const unsigned char *raw, std::size_t n) override
+    {
+        trace::TraceEvent ev;
+        for (std::size_t i = 0; i < n;
+             ++i, raw += trace::TraceReader::recordBytes) {
+            trace::TraceReader::decodeRecord(raw, ev);
+            RttShard::onEvent(ev);
+        }
     }
 
     struct MiniRtt
@@ -1219,53 +619,45 @@ class RttShard : public ShardFold
         std::uint16_t token;
     };
 
-    std::set<std::uint16_t> relevant;
+    TokenSet relevant;
     std::vector<MiniRtt> buffer;
 };
 
 /**
- * Stitch the state-machine shards: close a carried open state at the
- * next shard's first Begin of that stream, replay each shard's
- * closed intervals, and close what is still open at the end-of-trace
- * time — emitting every interval through @p emit in an order whose
- * per-(stream, state) projection equals the serial emission order
- * (which is all that matters: statistics are keyed per
- * (stream, state), and integer overlap sums are order-free).
+ * The stitch carry of the state-based merges: the open state each
+ * stream carries across shard edges, and the first and last event
+ * absorbed so far. absorb() closes a carried state at the shard's
+ * first Begin of that stream, replays the shard's closed intervals
+ * and carries the shard's still-open states on; close() ends what is
+ * still open at the end-of-trace time. Every interval goes through
+ * the emit callback in an order whose per-(stream, state) projection
+ * is the trace order (which is all that matters: statistics are
+ * keyed per (stream, state), and integer overlap sums are
+ * order-free).
  */
-template <typename Emit>
-void
-stitchStateShards(
-    const std::vector<std::unique_ptr<ShardFold>> &shards,
-    sim::Tick trace_end, bool &any, sim::Tick &firstTs,
-    sim::Tick &lastTs, Emit &&emit)
+class StateStitch
 {
-    any = false;
-    firstTs = 0;
-    lastTs = 0;
-    for (const auto &p : shards) {
-        const auto *s = static_cast<const StateShard *>(p.get());
-        if (!s || !s->tracker.any())
-            continue;
-        if (!any) {
-            any = true;
-            firstTs = s->tracker.traceBegin();
-        }
-        lastTs = s->tracker.lastEvent();
-    }
-
+  public:
     struct Carry
     {
         sim::Tick since;
         std::uint16_t sid;
     };
-    std::map<unsigned, Carry> carry;
-    for (const auto &p : shards) {
-        const auto *s = static_cast<const StateShard *>(p.get());
-        if (!s)
-            continue;
-        s->tracker.forEachOpen(
-            [&carry, &emit](unsigned stream,
-                            const StateTracker::Slot &cur) {
+
+    template <typename Emit>
+    void
+    absorb(const StateShard &s, Emit &&emit)
+    {
+        if (s.tracker.any()) {
+            if (!sawEvent) {
+                sawEvent = true;
+                firstTs = s.tracker.traceBegin();
+            }
+            lastTs = s.tracker.lastEvent();
+        }
+        s.tracker.forEachOpen(
+            [this, &emit](unsigned stream,
+                          const StateTracker::Slot &cur) {
                 auto it = carry.find(stream);
                 if (it == carry.end())
                     return;
@@ -1277,70 +669,207 @@ stitchStateShards(
         // Streaming replay of the arena; wide records (rare) are
         // consumed in step with their sentinel entries.
         std::size_t w = 0;
-        for (const auto &iv : s->intervals) {
+        for (const auto &iv : s.intervals) {
             if (iv.dur != StateShard::wideDur) {
-                emit(iv.stream, iv.sid, iv.begin,
-                     iv.begin + iv.dur);
+                emit(iv.stream, iv.sid, iv.begin, iv.begin + iv.dur);
             } else {
-                const StateShard::WideInterval &wd = s->wide[w++];
+                const StateShard::WideInterval &wd = s.wide[w++];
                 emit(wd.stream, iv.sid, iv.begin, wd.end);
             }
         }
-        s->tracker.forEachOpen(
-            [&carry](unsigned stream, const StateTracker::Slot &cur) {
+        s.tracker.forEachOpen(
+            [this](unsigned stream, const StateTracker::Slot &cur) {
                 carry[stream] = Carry{cur.since, cur.sid};
             });
     }
-    if (!any)
-        return;
-    const sim::Tick endTs =
-        trace_end ? std::max(trace_end, lastTs) : lastTs;
-    for (const auto &kv : carry) {
-        if (endTs > kv.second.since)
-            emit(kv.first, kv.second.sid, kv.second.since, endTs);
-    }
-}
 
-/**
- * Flat per-(stream, state) accumulator for the `states` merge: one
- * multiply-indexed array slot per key instead of StatesFold's
- * ordered-map lookup, so replaying the stitched interval stream
- * costs a few loads per interval. The accumulation itself is the
- * same SummaryStat::push / clamped-overlap sequence in the same
- * per-key order as the serial fold, and finish() renders rows in the
- * same order (streams ascending, states in id = statesInOrder()
- * order), so the resulting table is bit-identical.
- */
-class StateAccumulator
+    /** Close still-open states at closeTime(@p trace_end); call once,
+     *  after the last absorb(). Streams ascending. */
+    template <typename Emit>
+    void
+    close(sim::Tick trace_end, Emit &&emit) const
+    {
+        if (!sawEvent)
+            return;
+        const sim::Tick endTs = closeTime(trace_end);
+        for (const auto &kv : carry) {
+            if (endTs > kv.second.since)
+                emit(kv.first, kv.second.sid, kv.second.since, endTs);
+        }
+    }
+
+    /** @p trace_end, or the last event if later (0 = last event),
+     *  like ActivityMap::build(). */
+    sim::Tick
+    closeTime(sim::Tick trace_end) const
+    {
+        return trace_end ? std::max(trace_end, lastTs) : lastTs;
+    }
+
+    /** First absorbed event (0 before any). */
+    sim::Tick
+    traceBegin() const
+    {
+        return firstTs;
+    }
+
+    /** The open state of every stream that has seen a Begin. */
+    const std::map<unsigned, Carry> &
+    open() const
+    {
+        return carry;
+    }
+
+  private:
+    std::map<unsigned, Carry> carry;
+    sim::Tick firstTs = 0;
+    sim::Tick lastTs = 0;
+    bool sawEvent = false;
+};
+
+// ========================================================= merge state
+//
+// One ShardMerge::Accumulator per fold kind: the aggregation state a
+// query keeps for its whole run, fed shard by shard in trace order.
+
+// ---------------------------------------------------------------- count
+
+class CountFold : public ShardMerge::Accumulator
 {
   public:
-    StateAccumulator(const FoldContext &ctx,
-                     std::shared_ptr<const StateTable> state_table)
-        : context(&ctx), table(std::move(state_table)),
+    explicit CountFold(const FoldContext &ctx) : context(ctx)
+    {
+        if (context.window) {
+            windower.spec = *context.window;
+            if (context.hasFrom)
+                windower.anchor(context.from);
+        }
+    }
+
+    void
+    absorb(ShardFold &shard) override
+    {
+        const auto &s = static_cast<const CountShard &>(shard);
+        s.counts.forEach([this](std::uint64_t key, std::uint64_t n) {
+            counts[{0, static_cast<unsigned>(key >> 16),
+                    static_cast<std::uint16_t>(key & 0xffff)}] += n;
+        });
+        // Windowed counts bucket against the global origin: the
+        // first accepted event, held by the first non-empty shard.
+        for (const MiniEvent &m : s.buffer) {
+            windower.anchor(m.ts);
+            std::int64_t lo = 0;
+            std::int64_t hi = 0;
+            if (!windower.indicesOf(m.ts, lo, hi))
+                continue;
+            for (std::int64_t k = lo; k <= hi; ++k)
+                ++counts[{k, m.stream, m.token}];
+        }
+    }
+
+    Table
+    finish() override
+    {
+        Table table = emptyTable();
+        for (const auto &kv : counts)
+            addRow(table, kv);
+        return table;
+    }
+
+    void
+    sealWindowsBefore(sim::Tick now, const WindowSink &sink) override
+    {
+        if (!context.window)
+            return;
+        // The map is window-major, so each window's rows are one run
+        // of it, in finish()'s row order.
+        const std::int64_t ended = windower.endedBy(now);
+        auto it = counts.lower_bound({sealed, 0, 0});
+        while (it != counts.end() && std::get<0>(it->first) < ended) {
+            const std::int64_t k = std::get<0>(it->first);
+            Table table = emptyTable();
+            for (; it != counts.end() && std::get<0>(it->first) == k;
+                 ++it)
+                addRow(table, *it);
+            sink(table);
+        }
+        sealed = std::max(sealed, ended);
+    }
+
+  private:
+    using Counts =
+        std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
+                 std::uint64_t>;
+
+    Table
+    emptyTable() const
+    {
+        Table table;
+        if (context.window)
+            table.columns.push_back("window_ms");
+        table.columns.insert(table.columns.end(),
+                             {"stream", "event", "count"});
+        return table;
+    }
+
+    void
+    addRow(Table &table, const Counts::value_type &kv) const
+    {
+        const auto &[window, stream, token] = kv.first;
+        std::vector<Value> row;
+        if (context.window) {
+            row.push_back(Value::number(
+                sim::toMilliseconds(windower.startOf(window))));
+        }
+        row.push_back(Value::str(context.dict->streamName(stream)));
+        row.push_back(Value::str(tokenName(*context.dict, token)));
+        row.push_back(Value::count(kv.second));
+        table.addRow(std::move(row));
+    }
+
+    FoldContext context;
+    Windower windower;
+    Counts counts;
+    /** Windows below this index were handed to a WindowSink. */
+    std::int64_t sealed = 0;
+};
+
+// ---------------------------------------------------------------- states
+
+/**
+ * Flat per-(stream, state) accumulator for `states`: one
+ * multiply-indexed array slot per key instead of an ordered-map
+ * lookup, so replaying the stitched interval stream costs a few loads
+ * per interval. Each key sees the same SummaryStat::push /
+ * clamped-overlap sequence as trace::ActivityMap::durationStats()
+ * and finish() renders streams ascending, states in id =
+ * statesInOrder() order.
+ */
+class StateAccumulator : public ShardMerge::Accumulator
+{
+  public:
+    explicit StateAccumulator(const FoldContext &ctx)
+        : context(ctx), table(stateTableFor(ctx)),
           nStates(table->states.size())
     {
     }
 
     void
-    add(unsigned stream, std::uint16_t sid, sim::Tick begin,
-        sim::Tick end)
+    absorb(ShardFold &shard) override
     {
-        const sim::Tick lo = context->hasFrom
-                                 ? std::max(begin, context->from)
-                                 : begin;
-        const sim::Tick hi =
-            context->hasTo ? std::min(end, context->to) : end;
-        if (hi <= lo)
-            return;
-        Slot &slot = slotFor(stream, sid);
-        slot.stat.push(static_cast<double>(end - begin));
-        slot.covered += hi - lo;
+        stitch.absorb(static_cast<const StateShard &>(shard),
+                      AddSink{this});
     }
 
-    /** Render the rows exactly like StatesFold::finish(). */
     Table
-    finish(sim::Tick t0, sim::Tick t1) const
+    finish() override
     {
+        stitch.close(context.traceEnd, AddSink{this});
+        const sim::Tick t0 =
+            context.hasFrom ? context.from : stitch.traceBegin();
+        const sim::Tick t1 = context.hasTo
+                                 ? context.to
+                                 : stitch.closeTime(context.traceEnd);
         Table out;
         out.columns = {"stream",  "state",  "count",
                        "total_ms", "mean_ms", "min_ms",
@@ -1367,6 +896,38 @@ class StateAccumulator
         sim::SummaryStat stat;
         sim::Tick covered = 0;
     };
+
+    /** The stitch's emit target. */
+    struct AddSink
+    {
+        StateAccumulator *acc;
+
+        void
+        operator()(unsigned stream, std::uint16_t sid, sim::Tick b,
+                   sim::Tick e) const
+        {
+            acc->add(stream, sid, b, e);
+        }
+    };
+
+    void
+    add(unsigned stream, std::uint16_t sid, sim::Tick begin,
+        sim::Tick end)
+    {
+        // Overlap with the evaluation range, clamped per interval; an
+        // interval outside it (possible only when the range is not
+        // also a filter, see runPhaseQuery) is not counted at all.
+        const sim::Tick lo = context.hasFrom
+                                 ? std::max(begin, context.from)
+                                 : begin;
+        const sim::Tick hi =
+            context.hasTo ? std::min(end, context.to) : end;
+        if (hi <= lo)
+            return;
+        Slot &slot = slotFor(stream, sid);
+        slot.stat.push(static_cast<double>(end - begin));
+        slot.covered += hi - lo;
+    }
 
     Slot &
     slotFor(unsigned stream, std::uint16_t sid)
@@ -1396,7 +957,7 @@ class StateAccumulator
             t1 > t0 ? static_cast<double>(slot.covered) /
                           static_cast<double>(t1 - t0)
                     : 0.0;
-        out.addRow({Value::str(context->dict->streamName(stream)),
+        out.addRow({Value::str(context.dict->streamName(stream)),
                     Value::str(table->states[sid]),
                     Value::count(slot.stat.count()),
                     Value::number(slot.stat.sum() * 1e-6),
@@ -1406,11 +967,431 @@ class StateAccumulator
                     Value::number(share)});
     }
 
-    const FoldContext *context;
+    FoldContext context;
     std::shared_ptr<const StateTable> table;
     std::size_t nStates;
+    StateStitch stitch;
     std::vector<Slot> flat;
     std::map<std::uint64_t, Slot> overflow;
+};
+
+// ----------------------------------------------------------- utilization
+
+class UtilizationFold : public ShardMerge::Accumulator
+{
+  public:
+    UtilizationFold(const FoldSpec &spec, const FoldContext &ctx)
+        : context(ctx), state(spec.state),
+          targetSid(stateTableFor(ctx)->idOf(state))
+    {
+        if (context.window) {
+            windower.spec = *context.window;
+            if (context.hasFrom)
+                windower.anchor(context.from);
+        }
+    }
+
+    void
+    absorb(ShardFold &shard) override
+    {
+        const auto &s = static_cast<const StateShard &>(shard);
+        // The window origin is the first accepted event (or the
+        // explicit `from` the constructor anchored): set it before
+        // the shard's intervals are bucketed.
+        if (context.window && s.tracker.any())
+            windower.anchor(s.tracker.traceBegin());
+        stitch.absorb(s, [this](unsigned stream, std::uint16_t sid,
+                                sim::Tick b, sim::Tick e) {
+            addInterval(stream, sid, b, e);
+        });
+    }
+
+    Table
+    finish() override
+    {
+        stitch.close(context.traceEnd,
+                     [this](unsigned stream, std::uint16_t sid,
+                            sim::Tick b, sim::Tick e) {
+                         addInterval(stream, sid, b, e);
+                     });
+        const sim::Tick t0 =
+            context.hasFrom ? context.from : stitch.traceBegin();
+        const sim::Tick t1 = context.hasTo
+                                 ? context.to
+                                 : stitch.closeTime(context.traceEnd);
+        // Every stream with an interval, ascending, and its name.
+        std::vector<std::pair<unsigned, std::string>> streams;
+        for (unsigned s = 0; s < seenFlat.size(); ++s) {
+            if (seenFlat[s])
+                streams.emplace_back(s, context.dict->streamName(s));
+        }
+        for (unsigned s : seenBig)
+            streams.emplace_back(s, context.dict->streamName(s));
+
+        Table table;
+        if (!context.window) {
+            table.columns = {"stream", "state", "utilization"};
+            const Coverage *whole = coverageOf(0);
+            for (const auto &[stream, name] : streams) {
+                const sim::Tick covered = coveredIn(whole, stream);
+                const double u =
+                    t1 > t0 ? static_cast<double>(covered) /
+                                  static_cast<double>(t1 - t0)
+                            : 0.0;
+                table.addRow({Value::str(name), Value::str(state),
+                              Value::number(u)});
+            }
+            return table;
+        }
+
+        table = emptyWindowTable();
+        const std::int64_t last = windower.lastIndexBefore(t1);
+        // Dense rows (a value for every window) unless that would
+        // explode; tiny windows over a long trace fall back to the
+        // windows that actually saw the state.
+        const bool dense =
+            last >= 0 &&
+            (last + 1) * static_cast<std::int64_t>(
+                             std::max<std::size_t>(streams.size(), 1)) <=
+                200000;
+        if (dense) {
+            table.rows.reserve(static_cast<std::size_t>(last + 1) *
+                               streams.size());
+            for (std::int64_t k = 0; k <= last; ++k) {
+                const Coverage *window = coverageOf(k);
+                for (const auto &[stream, name] : streams)
+                    addWindowRow(table, k, name,
+                                 coveredIn(window, stream));
+            }
+        } else {
+            for (const auto &[k, window] : overlap) {
+                for (const auto &[stream, covered] : window)
+                    addWindowRow(table, k,
+                                 context.dict->streamName(stream),
+                                 covered);
+            }
+        }
+        return table;
+    }
+
+    /**
+     * Fixed windows only. A window's row carries its closed
+     * intervals plus, for a state still open past the window's end,
+     * the stretch up to that edge — what this fold will account once
+     * the interval closes, at or after @p now. Rows are the nonzero
+     * ones; the dense final table adds the all-zero rows.
+     */
+    void
+    sealWindowsBefore(sim::Tick now, const WindowSink &sink) override
+    {
+        if (!context.window)
+            return;
+        const std::int64_t ended = windower.endedBy(now);
+        bool openTarget = false;
+        for (const auto &kv : stitch.open())
+            openTarget = openTarget || kv.second.sid == targetSid;
+        for (std::int64_t k = sealed; k < ended; ++k) {
+            if (!openTarget) {
+                // Only closed intervals: jump over empty windows.
+                const auto next = overlap.lower_bound(k);
+                if (next == overlap.end() || next->first >= ended)
+                    break;
+                k = next->first;
+            }
+            const sim::Tick wlo = windower.startOf(k);
+            const sim::Tick whi = wlo + windower.spec.size;
+            Coverage covered;
+            if (const Coverage *window = coverageOf(k))
+                covered = *window;
+            for (const auto &[stream, cur] : stitch.open()) {
+                if (cur.sid == targetSid && cur.since < whi)
+                    covered[stream] += whi - std::max(cur.since, wlo);
+            }
+            if (covered.empty())
+                continue;
+            Table rows = emptyWindowTable();
+            for (const auto &[stream, ticks] : covered)
+                addWindowRow(rows, k, context.dict->streamName(stream),
+                             ticks);
+            sink(rows);
+        }
+        sealed = std::max(sealed, ended);
+    }
+
+  private:
+    /** Covered ticks of the target state per stream in one window
+     *  (only nonzero entries). */
+    using Coverage = std::map<unsigned, sim::Tick>;
+
+    static Table
+    emptyWindowTable()
+    {
+        Table table;
+        table.columns = {"window_ms", "stream", "state",
+                         "utilization"};
+        return table;
+    }
+
+    void
+    addWindowRow(Table &table, std::int64_t k, const std::string &name,
+                 sim::Tick covered) const
+    {
+        // Built in place: a dense table has a row per window and
+        // stream, and an initializer list would copy every cell.
+        std::vector<Value> row;
+        row.reserve(4);
+        row.push_back(
+            Value::number(sim::toMilliseconds(windower.startOf(k))));
+        row.push_back(Value::str(name));
+        row.push_back(Value::str(state));
+        row.push_back(Value::number(static_cast<double>(covered) /
+                                    static_cast<double>(
+                                        windower.spec.size)));
+        table.addRow(std::move(row));
+    }
+
+    const Coverage *
+    coverageOf(std::int64_t k) const
+    {
+        const auto it = overlap.find(k);
+        return it == overlap.end() ? nullptr : &it->second;
+    }
+
+    static sim::Tick
+    coveredIn(const Coverage *window, unsigned stream)
+    {
+        if (!window)
+            return 0;
+        const auto it = window->find(stream);
+        return it == window->end() ? 0 : it->second;
+    }
+
+    /** Window @p k's coverage, created on first use. Intervals
+     *  arrive in nearly ascending window order, so the last window
+     *  touched is kept at hand. */
+    Coverage &
+    windowCoverage(std::int64_t k)
+    {
+        if (recent == overlap.end() || recent->first != k)
+            recent = overlap.try_emplace(k).first;
+        return recent->second;
+    }
+
+    void
+    addInterval(unsigned stream, std::uint16_t sid, sim::Tick begin,
+                sim::Tick end)
+    {
+        if (stream >= flatStreamLimit) {
+            seenBig.insert(stream);
+        } else {
+            if (stream >= seenFlat.size())
+                seenFlat.resize(stream + 1);
+            seenFlat[stream] = 1;
+        }
+        // An unknown target state compiles to noState, which no
+        // tracked interval carries — zero utilization rows.
+        if (sid != targetSid)
+            return;
+        // Clamp to the evaluation range.
+        const sim::Tick lo =
+            context.hasFrom ? std::max(begin, context.from) : begin;
+        const sim::Tick hi =
+            context.hasTo ? std::min(end, context.to) : end;
+        if (!context.window) {
+            if (hi > lo)
+                windowCoverage(0)[stream] += hi - lo;
+            return;
+        }
+        const sim::Tick b = std::max(lo, windower.origin);
+        if (hi <= b)
+            return;
+        std::int64_t first = 0;
+        std::int64_t unused = 0;
+        if (!windower.indicesOf(b, first, unused))
+            return;
+        const std::int64_t lastTouched = windower.lastIndexBefore(hi);
+        for (std::int64_t k = first; k <= lastTouched; ++k) {
+            const sim::Tick wlo = windower.startOf(k);
+            const sim::Tick whi = wlo + windower.spec.size;
+            const sim::Tick a = std::max(lo, wlo);
+            const sim::Tick z = std::min(hi, whi);
+            if (z > a)
+                windowCoverage(k)[stream] += z - a;
+        }
+    }
+
+    FoldContext context;
+    std::string state;
+    std::uint16_t targetSid;
+    StateStitch stitch;
+    Windower windower;
+    /** Streams that produced an interval: flat flags below
+     *  flatStreamLimit, a set above it. */
+    std::vector<char> seenFlat;
+    std::set<unsigned> seenBig;
+    /** Window index -> coverage (unwindowed: window 0 only). */
+    std::map<std::int64_t, Coverage> overlap;
+    std::map<std::int64_t, Coverage>::iterator recent = overlap.end();
+    /** Windows below this index were handed to a WindowSink. */
+    std::int64_t sealed = 0;
+};
+
+// --------------------------------------------------------------- latency
+
+class LatencyFold : public ShardMerge::Accumulator
+{
+  public:
+    LatencyFold(const FoldSpec &spec, const FoldContext &ctx)
+        : context(ctx), bins(spec.bins), histMax(spec.histMax)
+    {
+    }
+
+    void
+    absorb(ShardFold &shard) override
+    {
+        // Each stream's gaps in trace order: the edge gap from the
+        // last event an earlier shard saw, then the shard's own.
+        // Gaps are exact tick differences, so the doubles pushed do
+        // not depend on where the shard edges fall.
+        for (const auto &kv : static_cast<const LatencyShard &>(shard)
+                                  .streams) {
+            auto it = carryLast.find(kv.first);
+            if (it != carryLast.end())
+                pushGap(kv.first, kv.second.first - it->second);
+            for (sim::Tick gap : kv.second.gaps)
+                pushGap(kv.first, gap);
+            carryLast[kv.first] = kv.second.last;
+        }
+    }
+
+    Table
+    finish() override
+    {
+        Table table;
+        if (!bins) {
+            table.columns = {"stream", "pairs",  "mean_ms",
+                             "min_ms", "max_ms", "stddev_ms"};
+            for (const auto &kv : stats) {
+                const sim::SummaryStat &s = kv.second;
+                table.addRow(
+                    {Value::str(context.dict->streamName(kv.first)),
+                     Value::count(s.count()),
+                     Value::number(s.mean() * 1e-6),
+                     Value::number(s.min() * 1e-6),
+                     Value::number(s.max() * 1e-6),
+                     Value::number(s.stddev() * 1e-6)});
+            }
+            return table;
+        }
+        table.columns = {"stream", "bin", "lo_ms", "count"};
+        for (const auto &kv : hists) {
+            const std::string name =
+                context.dict->streamName(kv.first);
+            const sim::Histogram &h = kv.second;
+            for (std::size_t b = 0; b < h.bins(); ++b) {
+                table.addRow({Value::str(name),
+                              Value::str(std::to_string(b)),
+                              Value::number(h.binLower(b) * 1e-6),
+                              Value::count(h.binCount(b))});
+            }
+            table.addRow(
+                {Value::str(name), Value::str("overflow"),
+                 Value::number(sim::toMilliseconds(histMax)),
+                 Value::count(h.overflow())});
+        }
+        return table;
+    }
+
+  private:
+    void
+    pushGap(unsigned stream, sim::Tick gapTicks)
+    {
+        const double gap = static_cast<double>(gapTicks);
+        stats[stream].push(gap);
+        if (bins) {
+            auto h = hists.find(stream);
+            if (h == hists.end()) {
+                h = hists
+                        .emplace(stream,
+                                 sim::Histogram(
+                                     0.0,
+                                     static_cast<double>(histMax),
+                                     bins))
+                        .first;
+            }
+            h->second.push(gap);
+        }
+    }
+
+    FoldContext context;
+    std::size_t bins = 0;
+    sim::Tick histMax = 0;
+    /** The last event per stream of the shards absorbed so far. */
+    std::map<unsigned, sim::Tick> carryLast;
+    std::map<unsigned, sim::SummaryStat> stats;
+    std::map<unsigned, sim::Histogram> hists;
+};
+
+// ------------------------------------------------------------------- rtt
+
+class RttFold : public ShardMerge::Accumulator
+{
+  public:
+    RttFold(const FoldSpec &spec, const FoldContext &ctx)
+    {
+        beginTokens.add(spec.beginPattern, *ctx.dict);
+        endTokens.add(spec.endPattern, *ctx.dict);
+    }
+
+    void
+    absorb(ShardFold &shard) override
+    {
+        for (const auto &m :
+             static_cast<const RttShard &>(shard).buffer) {
+            if (beginTokens.contains(m.token)) {
+                // Key on the parameter (the job id in the ray
+                // tracer's protocol); the first begin wins.
+                if (!pending.emplace(m.param, m.ts).second)
+                    ++duplicateBegins;
+            } else if (endTokens.contains(m.token)) {
+                auto it = pending.find(m.param);
+                if (it == pending.end()) {
+                    ++unmatchedEnds;
+                    continue;
+                }
+                stats.push(static_cast<double>(m.ts - it->second));
+                pending.erase(it);
+            }
+        }
+    }
+
+    Table
+    finish() override
+    {
+        Table table;
+        table.columns = {"pairs",   "unmatched_begin",
+                         "unmatched_end", "mean_ms", "min_ms",
+                         "max_ms",  "stddev_ms"};
+        table.addRow(
+            {Value::count(stats.count()),
+             Value::count(pending.size() + duplicateBegins),
+             Value::count(unmatchedEnds),
+             Value::number(stats.mean() * 1e-6),
+             Value::number(stats.min() * 1e-6),
+             Value::number(stats.max() * 1e-6),
+             Value::number(stats.stddev() * 1e-6)});
+        return table;
+    }
+
+  private:
+    TokenSet beginTokens;
+    TokenSet endTokens;
+    /** Begin time per open parameter (only its size is reported,
+     *  so the order is free). */
+    std::unordered_map<std::uint32_t, sim::Tick> pending;
+    sim::SummaryStat stats;
+    std::uint64_t duplicateBegins = 0;
+    std::uint64_t unmatchedEnds = 0;
 };
 
 } // namespace
@@ -1476,22 +1457,12 @@ resolveTokenPattern(const std::string &pattern,
     return tokens;
 }
 
-std::unique_ptr<Fold>
-makeFold(const FoldSpec &spec, const FoldContext &ctx)
+void
+TokenSet::add(const std::string &pattern,
+              const trace::EventDictionary &dict)
 {
-    switch (spec.kind) {
-      case FoldKind::States:
-        return std::make_unique<StatesFold>(ctx);
-      case FoldKind::Utilization:
-        return std::make_unique<UtilizationFold>(spec, ctx);
-      case FoldKind::Latency:
-        return std::make_unique<LatencyFold>(spec, ctx);
-      case FoldKind::Rtt:
-        return std::make_unique<RttFold>(spec, ctx);
-      case FoldKind::Count:
-        break;
-    }
-    return std::make_unique<CountFold>(ctx);
+    for (std::uint16_t t : resolveTokenPattern(pattern, dict))
+        bits[t >> 6] |= std::uint64_t(1) << (t & 63);
 }
 
 void
@@ -1524,120 +1495,45 @@ makeShardFold(const FoldSpec &spec, const FoldContext &ctx)
     return std::make_unique<CountShard>(ctx);
 }
 
-Table
-mergeShardFolds(const FoldSpec &spec, const FoldContext &ctx,
-                std::vector<std::unique_ptr<ShardFold>> &shards)
+ShardMerge::ShardMerge(const FoldSpec &spec, const FoldContext &ctx)
 {
     switch (spec.kind) {
-      case FoldKind::Count: {
-          CountFold serial(ctx);
-          trace::TraceEvent ev;
-          for (const auto &p : shards) {
-              const auto *s = static_cast<const CountShard *>(p.get());
-              if (!s)
-                  continue;
-              // Sorted by packed key = (stream, token) ascending,
-              // the order the old ordered-map partial produced.
-              for (const auto &kv : s->counts.sortedEntries())
-                  serial.absorbCount(
-                      static_cast<unsigned>(kv.first >> 16),
-                      static_cast<std::uint16_t>(kv.first & 0xffff),
-                      kv.second);
-              for (const auto &m : s->buffer) {
-                  ev.timestamp = m.ts;
-                  ev.stream = m.stream;
-                  ev.token = m.token;
-                  serial.onEvent(ev);
-              }
-          }
-          return serial.finish();
-      }
-      case FoldKind::States: {
-          // Replay the stitched intervals into the flat accumulator
-          // instead of a full StatesFold: same per-key push order and
-          // row order (bit-exact result), but each interval is a
-          // multiply-indexed array slot instead of an ordered-map
-          // lookup — this is the merge stage the scaling target
-          // leans on.
-          bool any = false;
-          sim::Tick firstTs = 0;
-          sim::Tick lastTs = 0;
-          StateAccumulator acc(ctx, stateTableFor(ctx));
-          stitchStateShards(
-              shards, ctx.traceEnd, any, firstTs, lastTs,
-              [&acc](unsigned stream, std::uint16_t sid, sim::Tick b,
-                     sim::Tick e) { acc.add(stream, sid, b, e); });
-          // Same evaluation range a serial tracker would close with.
-          const sim::Tick endTs =
-              ctx.traceEnd ? std::max(ctx.traceEnd, lastTs) : lastTs;
-          const sim::Tick t0 = ctx.hasFrom ? ctx.from : firstTs;
-          const sim::Tick t1 = ctx.hasTo ? ctx.to : endTs;
-          return acc.finish(t0, t1);
-      }
-      case FoldKind::Utilization: {
-          UtilizationFold serial(spec, ctx);
-          // The window origin is the global first accepted event
-          // (or the explicit `from`, which the constructor already
-          // anchored) — set it before replaying any interval.
-          bool any = false;
-          sim::Tick firstTs = 0;
-          sim::Tick lastTs = 0;
-          for (const auto &p : shards) {
-              const auto *s =
-                  static_cast<const StateShard *>(p.get());
-              if (s && s->tracker.any()) {
-                  serial.anchorOrigin(s->tracker.traceBegin());
-                  break;
-              }
-          }
-          stitchStateShards(
-              shards, ctx.traceEnd, any, firstTs, lastTs,
-              [&serial](unsigned stream, std::uint16_t sid,
-                        sim::Tick b, sim::Tick e) {
-                  serial.absorbInterval(stream, sid, b, e);
-              });
-          serial.primeTracker(any, firstTs, lastTs);
-          return serial.finish();
-      }
-      case FoldKind::Latency: {
-          LatencyFold serial(spec, ctx);
-          std::map<unsigned, sim::Tick> carryLast;
-          for (const auto &p : shards) {
-              const auto *s =
-                  static_cast<const LatencyShard *>(p.get());
-              if (!s)
-                  continue;
-              for (const auto &kv : s->streams) {
-                  auto it = carryLast.find(kv.first);
-                  if (it != carryLast.end())
-                      serial.pushGap(kv.first,
-                                     kv.second.first - it->second);
-                  for (sim::Tick gap : kv.second.gaps)
-                      serial.pushGap(kv.first, gap);
-                  carryLast[kv.first] = kv.second.last;
-              }
-          }
-          return serial.finish();
-      }
-      case FoldKind::Rtt: {
-          RttFold serial(spec, ctx);
-          trace::TraceEvent ev;
-          for (const auto &p : shards) {
-              const auto *s = static_cast<const RttShard *>(p.get());
-              if (!s)
-                  continue;
-              for (const auto &m : s->buffer) {
-                  ev.timestamp = m.ts;
-                  ev.param = m.param;
-                  ev.token = m.token;
-                  serial.onEvent(ev);
-              }
-          }
-          return serial.finish();
-      }
+      case FoldKind::States:
+        acc = std::make_unique<StateAccumulator>(ctx);
+        return;
+      case FoldKind::Utilization:
+        acc = std::make_unique<UtilizationFold>(spec, ctx);
+        return;
+      case FoldKind::Latency:
+        acc = std::make_unique<LatencyFold>(spec, ctx);
+        return;
+      case FoldKind::Rtt:
+        acc = std::make_unique<RttFold>(spec, ctx);
+        return;
+      case FoldKind::Count:
+        break;
     }
-    // Unreachable: every FoldKind is handled above.
-    return Table();
+    acc = std::make_unique<CountFold>(ctx);
+}
+
+ShardMerge::~ShardMerge() = default;
+
+void
+ShardMerge::absorb(ShardFold &shard)
+{
+    acc->absorb(shard);
+}
+
+void
+ShardMerge::sealWindowsBefore(sim::Tick now, const WindowSink &sink)
+{
+    acc->sealWindowsBefore(now, sink);
+}
+
+Table
+ShardMerge::finish()
+{
+    return acc->finish();
 }
 
 } // namespace query

@@ -1,15 +1,25 @@
 /**
  * @file
- * Fold sinks of the streaming query pipeline: each consumes filtered
- * events one at a time with bounded memory and produces a result
- * Table at the end of the stream.
+ * The folds of the query pipeline, in the two halves every executor
+ * runs: a per-shard partial (ShardFold) consumes one contiguous,
+ * already-filtered slice of a trace, and one in-order merge
+ * (ShardMerge) absorbs the partials and produces the result Table.
+ * A one-shard run is the serial evaluation; the live
+ * IncrementalEngine absorbs one shard per pushed batch.
  *
- * The state-based folds (`states`, `utilization`) and their shard
- * partials run one open-state machine, the streamed equivalent of
- * trace::ActivityMap::build(), so on identical input they reproduce
- * the batch evaluation's numbers exactly — the cross-check tests
- * assert bit-equality against trace::ActivityMap results for the
- * golden scenarios.
+ * Memory: the merge holds only the aggregation state (per-key
+ * counts, statistics, window overlaps, pending rtt begins, the
+ * carried open state per stream). A shard additionally holds its
+ * slice's closed state intervals (`states`, `utilization`) or its
+ * buffered accepted events (windowed `count`, `latency` gaps, `rtt`)
+ * until it is absorbed, so a file query's peak memory grows with
+ * the largest shard, not only with the aggregation state.
+ *
+ * The state-based folds run one open-state machine, the streamed
+ * equivalent of trace::ActivityMap::build(), so on identical input
+ * they reproduce the batch evaluation's numbers exactly — the
+ * cross-check tests assert bit-equality against trace::ActivityMap
+ * results for the golden scenarios and for random traces.
  */
 
 #ifndef QUERY_FOLDS_HH
@@ -76,47 +86,37 @@ struct FoldContext
      */
     sim::Tick traceEnd = 0;
     /**
-     * Compiled state machine, shared by the serial fold and every
-     * shard of a query (makeFoldContext fills it in for the
-     * state-based fold kinds; the folds compile their own when
-     * handed a bare context).
+     * Compiled state machine, shared by every shard and the merge of
+     * a query (makeFoldContext fills it in for the state-based fold
+     * kinds; the folds compile their own when handed a bare
+     * context).
      */
     std::shared_ptr<const StateTable> stateTable;
 };
 
-class Fold
+/**
+ * A set of event tokens as a 64 Ki-bit bitmap: one load and mask per
+ * membership test. Filter stages and the `rtt` folds compile their
+ * token patterns into it.
+ */
+class TokenSet
 {
   public:
-    /** Receives the rows of one finalized window. */
-    using WindowSink = std::function<void(const Table &)>;
+    TokenSet() : bits(65536 / 64, 0) {}
 
-    virtual ~Fold() = default;
+    /** Add every token @p pattern resolves to (resolveTokenPattern). */
+    void add(const std::string &pattern,
+             const trace::EventDictionary &dict);
 
-    /** Consume one (already filtered) event. */
-    virtual void onEvent(const trace::TraceEvent &ev) = 0;
-
-    /** End of stream: close open state and build the result. */
-    virtual Table finish() = 0;
-
-    /**
-     * Live preview of a time-ordered stream whose accepted events
-     * have reached @p now: hand @p sink the rows of every window that
-     * ended at or before @p now and was not handed out before, one
-     * table per window in window order, each row exactly as finish()
-     * will render it. Only the windowed `count` and `utilization`
-     * folds know rows this early; the others hand out nothing.
-     */
-    virtual void
-    sealWindowsBefore(sim::Tick now, const WindowSink &sink)
+    bool
+    contains(std::uint16_t token) const
     {
-        (void)now;
-        (void)sink;
+        return bits[token >> 6] >> (token & 63) & 1;
     }
-};
 
-/** Instantiate the fold sink a query asks for. */
-std::unique_ptr<Fold> makeFold(const FoldSpec &spec,
-                               const FoldContext &ctx);
+  private:
+    std::vector<std::uint64_t> bits;
+};
 
 /**
  * Per-shard partial aggregation state for sharded query execution.
@@ -135,14 +135,14 @@ std::unique_ptr<Fold> makeFold(const FoldSpec &spec,
  *    global (windowed counts need the global window origin; rtt
  *    matching needs the global begin/end pairing order).
  *
- * mergeShardFolds() combines the partials *in shard order* and
- * produces a table that is bit-exact — the same doubles, not
- * approximately equal — with a serial Fold fed the concatenated
- * accepted stream, because every floating-point accumulation is
- * replayed in the serial order while integer aggregates merge by
- * (order-free) addition. tests/query/test_crosscheck.cpp and
- * tests/parallel/test_sharded_query.cpp lock this contract for every
- * fold kind and shard count.
+ * ShardMerge absorbs the partials *in shard order* and produces a
+ * table that does not depend on where the shard edges fall — the
+ * same doubles, not approximately equal, for any shard count —
+ * because every floating-point accumulation is replayed in trace
+ * order while integer aggregates merge by (order-free) addition.
+ * tests/query/test_crosscheck.cpp, tests/parallel/test_sharded_query.cpp
+ * and tests/parallel/test_property_sharded.cpp lock this contract
+ * for every fold kind and shard count.
  */
 class ShardFold
 {
@@ -193,12 +193,47 @@ std::unique_ptr<ShardFold> makeShardFold(const FoldSpec &spec,
                                          const FoldContext &ctx);
 
 /**
- * Merge shard partials (created by makeShardFold for the same spec
- * and context, shards in trace order) into the final result table.
- * Null entries (shards that saw no work) are skipped.
+ * The in-order merge of one query's shard partials, and the only
+ * producer of its result table. absorb() takes the partials of
+ * makeShardFold() (same spec and context) in trace order; the merge
+ * carries the boundary state between them — the open state per
+ * stream, the last event per stream for `latency`, the pending
+ * begins of `rtt`, the window origin — so a shard may be dropped as
+ * soon as it is absorbed.
  */
-Table mergeShardFolds(const FoldSpec &spec, const FoldContext &ctx,
-                      std::vector<std::unique_ptr<ShardFold>> &shards);
+class ShardMerge
+{
+  public:
+    /** Receives the rows of one finalized window. */
+    using WindowSink = std::function<void(const Table &)>;
+
+    ShardMerge(const FoldSpec &spec, const FoldContext &ctx);
+    ~ShardMerge();
+
+    /** Absorb the next shard in trace order; the shard is not needed
+     *  afterwards. */
+    void absorb(ShardFold &shard);
+
+    /**
+     * Live preview of a time-ordered stream whose absorbed events
+     * have reached @p now: hand @p sink the rows of every window that
+     * ended at or before @p now and was not handed out before, one
+     * table per window in window order, each row exactly as finish()
+     * will render it. Only fixed-window `count` and `utilization`
+     * know rows this early; the other shapes hand out nothing.
+     */
+    void sealWindowsBefore(sim::Tick now, const WindowSink &sink);
+
+    /** End of stream: close carried open states and build the table;
+     *  call once. */
+    Table finish();
+
+    /** The per-fold-kind merge state (defined in folds.cc). */
+    class Accumulator;
+
+  private:
+    std::unique_ptr<Accumulator> acc;
+};
 
 /**
  * Resolve a token pattern (event name glob, decimal, or 0x-hex

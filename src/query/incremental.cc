@@ -1,5 +1,7 @@
 #include "incremental.hh"
 
+#include <algorithm>
+
 namespace supmon
 {
 namespace query
@@ -8,7 +10,9 @@ namespace query
 IncrementalEngine::IncrementalEngine(
     const Query &query, const trace::EventDictionary &dict,
     RowCallback on_rows, sim::Tick trace_end)
-    : engine(query, dict, trace_end), onRows(std::move(on_rows))
+    : spec(query.fold), context(makeFoldContext(query, dict, trace_end)),
+      chain(query, dict), merge(spec, context),
+      onRows(std::move(on_rows))
 {
     const bool fixedWindow =
         query.window && query.window->step == query.window->size;
@@ -17,18 +21,26 @@ IncrementalEngine::IncrementalEngine(
 }
 
 void
-IncrementalEngine::onEvent(const trace::TraceEvent &ev)
-{
-    if (engine.onEvent(ev) && live && onRows)
-        engine.sealWindowsBefore(ev.timestamp, onRows);
-}
-
-void
 IncrementalEngine::onBatch(const trace::TraceEvent *events,
                            std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        onEvent(events[i]);
+    accepted.assign(events, events + n);
+    const std::size_t kept =
+        chain.filterBatch(accepted.data(), accepted.size());
+    if (kept == 0)
+        return;
+    const auto shard = makeShardFold(spec, context);
+    shard->reserveHint(kept);
+    shard->onBatch(accepted.data(), kept);
+    merge.absorb(*shard);
+    if (live && onRows) {
+        const auto latest = std::max_element(
+            accepted.begin(), accepted.begin() + kept,
+            [](const trace::TraceEvent &a, const trace::TraceEvent &b) {
+                return a.timestamp < b.timestamp;
+            });
+        merge.sealWindowsBefore(latest->timestamp, onRows);
+    }
 }
 
 } // namespace query

@@ -50,17 +50,32 @@ runShardLoop(unsigned shards, const Body &body)
                            [&body](std::size_t s) { body(s); });
 }
 
+/** Absorb the partials in shard order, freeing each once absorbed. */
+Table
+mergePartials(const FoldSpec &spec, const FoldContext &ctx,
+              std::vector<std::unique_ptr<ShardFold>> &partials)
+{
+    ShardMerge merge(spec, ctx);
+    for (auto &partial : partials) {
+        merge.absorb(*partial);
+        partial.reset();
+    }
+    return merge.finish();
+}
+
 } // namespace
 
 Table
 runQuerySharded(const std::vector<trace::TraceEvent> &events,
                 const trace::EventDictionary &dict, const Query &query,
-                unsigned jobs, sim::Tick trace_end)
+                unsigned jobs, sim::Tick trace_end,
+                const FilterSpec *range)
 {
     const std::uint64_t n = events.size();
     const unsigned shards = static_cast<unsigned>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(std::max(jobs, 1u), n ? n : 1)));
-    const FoldContext ctx = makeFoldContext(query, dict, trace_end);
+    const FoldContext ctx =
+        makeFoldContext(query, dict, trace_end, range);
     std::vector<std::unique_ptr<ShardFold>> partials(shards);
     runShardLoop(shards, [&](std::size_t s) {
         // Each shard compiles its own filter chain (the chain
@@ -100,7 +115,7 @@ runQuerySharded(const std::vector<trace::TraceEvent> &events,
         }
         partials[s] = std::move(fold);
     });
-    return mergeShardFolds(query.fold, ctx, partials);
+    return mergePartials(query.fold, ctx, partials);
 }
 
 bool
@@ -168,7 +183,7 @@ runQueryFileSharded(const std::string &path,
             return false;
         }
     }
-    out = mergeShardFolds(query.fold, ctx, partials);
+    out = mergePartials(query.fold, ctx, partials);
     return true;
 }
 

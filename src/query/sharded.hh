@@ -1,15 +1,19 @@
 /**
  * @file
- * Sharded query execution: split a trace into contiguous per-thread
- * record ranges, run the filter chain and a per-shard partial fold
- * over each range concurrently, then merge the partials in shard
- * order into the final table.
+ * Sharded query execution, the one query executor: split a trace
+ * into contiguous per-thread record ranges, run the filter chain and
+ * a per-shard partial fold over each range concurrently, then absorb
+ * the partials in shard order into one query::ShardMerge, which
+ * builds the table. runQuery(), runPhaseQuery() and runQueryFile()
+ * are its one-shard runs.
  *
- * The merge is *bit-exact* with the streaming QueryEngine — the same
- * doubles, not approximately equal — for every shard count, including
- * one shard (see query::mergeShardFolds for how). The cross-check
- * tests (tests/query/test_crosscheck.cpp,
- * tests/parallel/test_sharded_query.cpp) lock this contract.
+ * The table does not depend on the shard count — the same doubles,
+ * not approximately equal, for any @p jobs (see query::ShardMerge
+ * for how). The cross-check tests (tests/query/test_crosscheck.cpp,
+ * tests/parallel/test_sharded_query.cpp,
+ * tests/parallel/test_property_sharded.cpp) lock this contract, and
+ * test_property_sharded also checks the one-shard tables against
+ * independent oracles (trace::ActivityMap, a direct count map).
  */
 
 #ifndef QUERY_SHARDED_HH
@@ -31,11 +35,14 @@ namespace query
 /**
  * Run @p query over an in-memory trace on up to @p jobs threads.
  * Result is bit-exact with runQuery() for any @p jobs >= 1.
+ * @param range optional evaluation range of the folds that is not a
+ *        filter (see runPhaseQuery).
  */
 Table runQuerySharded(const std::vector<trace::TraceEvent> &events,
                       const trace::EventDictionary &dict,
                       const Query &query, unsigned jobs,
-                      sim::Tick trace_end = 0);
+                      sim::Tick trace_end = 0,
+                      const FilterSpec *range = nullptr);
 
 /**
  * Run @p query over a saved trace file on up to @p jobs threads, each

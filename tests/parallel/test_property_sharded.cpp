@@ -2,7 +2,7 @@
  * @file
  * Property-based shard-merge testing: for randomized traces and
  * randomized query pipelines, the sharded executor must be bit-exact
- * with the streaming engine for every shard count 1..8 (the merge
+ * with its one-shard run for every shard count 1..8 (the merge
  * contract of ARCHITECTURE.md §11). Where test_sharded_query.cpp
  * pins hand-built boundary-hostile cases, this suite samples the
  * input space — trace shapes (huge stream ids past the flat-table
@@ -11,6 +11,14 @@
  * windows, filter stacks) — and shrinks any counterexample to a
  * minimal failing trace before reporting it.
  *
+ * Since runQuery() is the one-shard run of the same executor, the
+ * shard-count checks compare the pipeline only with itself. Two more
+ * checks hold its one-shard tables on the same random traces against
+ * oracles outside src/query: trace::ActivityMap for `states` and
+ * `utilization`, a direct (stream, token) map for `count`. A third
+ * pushes the traces through IncrementalEngine in random-size batches
+ * (every batch is one shard of the live merge).
+ *
  * Everything is seeded: a failure report names the seed and the
  * shrunk event list, so a counterexample replays deterministically.
  */
@@ -18,13 +26,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "query/engine.hh"
+#include "query/incremental.hh"
 #include "query/sharded.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "trace/activity.hh"
 #include "trace/io.hh"
 #include "temp_dir.hh"
 
@@ -287,6 +299,32 @@ describeQuery(const query::Query &q)
     return out;
 }
 
+/** Display name -> stream id over every stream of @p events. */
+std::map<std::string, unsigned>
+streamsByName(const std::vector<TraceEvent> &events,
+              const trace::EventDictionary &dict)
+{
+    std::map<std::string, unsigned> byName;
+    for (const auto &ev : events)
+        byName[dict.streamName(ev.stream)] = ev.stream;
+    return byName;
+}
+
+/** CSV rows of @p table, without the header line. */
+std::vector<std::string>
+csvRows(const query::Table &table)
+{
+    std::vector<std::string> rows;
+    const std::string csv = table.toCsv();
+    std::size_t start = csv.find('\n');
+    while (start != std::string::npos && start + 1 < csv.size()) {
+        const std::size_t eol = csv.find('\n', start + 1);
+        rows.push_back(csv.substr(start + 1, eol - start - 1));
+        start = eol;
+    }
+    return rows;
+}
+
 } // namespace
 
 TEST(PropertySharded, RandomTracesAndQueriesBitExactForShards1To8)
@@ -376,4 +414,157 @@ TEST(PropertySharded, ShrinkerReachesLocalMinimum)
         }
     }
     SUCCEED();
+}
+
+TEST(PropertySharded, OneShardMatchesIndependentOraclesOnRandomTraces)
+{
+    const auto dict = testDictionary();
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        sim::Random rng(sim::deriveSeed(20260809, seed));
+        const auto events = randomTrace(rng);
+        const auto map = trace::ActivityMap::build(events, dict);
+        const auto byName = streamsByName(events, dict);
+
+        query::Query states;
+        states.fold.kind = query::FoldKind::States;
+        const auto stats = map.durationStats();
+        const auto statesTable = query::runQuery(events, dict, states);
+        ASSERT_EQ(statesTable.rows.size(), stats.size())
+            << "seed " << seed;
+        for (const auto &row : statesTable.rows) {
+            const unsigned stream = byName.at(row[0].text);
+            const auto it = stats.find({stream, row[1].text});
+            ASSERT_NE(it, stats.end())
+                << "seed " << seed << ": " << row[0].text << "/"
+                << row[1].text;
+            const sim::SummaryStat &s = it->second;
+            EXPECT_EQ(row[2].integer, s.count()) << "seed " << seed;
+            EXPECT_EQ(row[3].real, s.sum() * 1e-6) << "seed " << seed;
+            EXPECT_EQ(row[4].real, s.mean() * 1e-6) << "seed " << seed;
+            EXPECT_EQ(row[5].real, s.min() * 1e-6) << "seed " << seed;
+            EXPECT_EQ(row[6].real, s.max() * 1e-6) << "seed " << seed;
+            EXPECT_EQ(row[7].real,
+                      map.utilization(stream, row[1].text,
+                                      map.traceBegin(), map.traceEnd()))
+                << "seed " << seed;
+        }
+
+        query::Query work;
+        work.fold.kind = query::FoldKind::Utilization;
+        work.fold.state = "WORK";
+        const auto workTable = query::runQuery(events, dict, work);
+        std::set<unsigned> withIntervals;
+        for (const auto &iv : map.intervals())
+            withIntervals.insert(iv.stream);
+        ASSERT_EQ(workTable.rows.size(), withIntervals.size())
+            << "seed " << seed;
+        for (const auto &row : workTable.rows) {
+            const unsigned stream = byName.at(row[0].text);
+            EXPECT_TRUE(withIntervals.count(stream)) << "seed " << seed;
+            EXPECT_EQ(row[2].real,
+                      map.utilization(stream, "WORK", map.traceBegin(),
+                                      map.traceEnd()))
+                << "seed " << seed << ": " << row[0].text;
+        }
+
+        std::map<std::pair<unsigned, std::uint16_t>, std::uint64_t>
+            direct;
+        for (const auto &ev : events)
+            ++direct[{ev.stream, ev.token}];
+        query::Query count;
+        const auto countTable = query::runQuery(events, dict, count);
+        ASSERT_EQ(countTable.rows.size(), direct.size())
+            << "seed " << seed;
+        std::size_t r = 0;
+        for (const auto &[key, n] : direct) {
+            const auto &row = countTable.rows[r++];
+            const trace::EventDef *def = dict.find(key.second);
+            EXPECT_EQ(row[0].text, dict.streamName(key.first))
+                << "seed " << seed;
+            EXPECT_EQ(row[1].text,
+                      def ? def->name
+                          : sim::strprintf("0x%04x", key.second))
+                << "seed " << seed;
+            EXPECT_EQ(row[2].integer, n) << "seed " << seed;
+        }
+    }
+}
+
+TEST(PropertySharded, IncrementalBatchesMatchRunQueryOnRandomTraces)
+{
+    const auto dict = testDictionary();
+    for (std::uint64_t seed = 200; seed < 240; ++seed) {
+        sim::Random rng(sim::deriveSeed(20260809, seed));
+        const auto events = randomTrace(rng);
+        // The random pipeline (at most ~2000 windows) plus the two
+        // live shapes (10 to 400 fixed windows): the traces jump by
+        // up to 2^33 ticks, so a window size drawn in ticks can ask
+        // for millions of rows, which only slows the test down.
+        const sim::Tick span =
+            events.empty() ? 1000 : events.back().timestamp;
+        query::Query random = randomQuery(rng, events);
+        if (random.window && span / random.window->step > 2000) {
+            const sim::Tick scale = span / random.window->step / 2000 + 1;
+            random.window->size *= scale;
+            random.window->step *= scale;
+        }
+        std::vector<query::Query> queries{random};
+        query::WindowSpec fixed;
+        fixed.size = fixed.step = span / rng.uniformInt(10, 400) + 1;
+        query::Query liveCount;
+        liveCount.window = fixed;
+        if (rng.bernoulli(0.5)) {
+            query::FilterSpec f;
+            f.streamPatterns.push_back("0-3");
+            liveCount.filters.push_back(f);
+        }
+        queries.push_back(liveCount);
+        query::Query liveWork;
+        liveWork.fold.kind = query::FoldKind::Utilization;
+        liveWork.fold.state = "WORK";
+        liveWork.window = fixed;
+        queries.push_back(liveWork);
+
+        for (const auto &q : queries) {
+            std::vector<std::string> partials;
+            query::IncrementalEngine inc(
+                q, dict, [&partials](const query::Table &rows) {
+                    for (auto &row : csvRows(rows))
+                        partials.push_back(std::move(row));
+                });
+            for (std::size_t at = 0; at < events.size();) {
+                const std::size_t n = std::min<std::size_t>(
+                    events.size() - at,
+                    static_cast<std::size_t>(rng.uniformInt(0, 300)));
+                inc.onBatch(events.data() + at, n);
+                at += n;
+            }
+            const auto live = inc.finish();
+            EXPECT_TRUE(tablesEqual(live, query::runQuery(events, dict,
+                                                          q)))
+                << "incremental diverged from runQuery, seed " << seed
+                << ", query " << describeQuery(q);
+            if (!inc.streamsLive()) {
+                EXPECT_TRUE(partials.empty()) << "seed " << seed;
+                continue;
+            }
+            const auto finalRows = csvRows(live);
+            if (q.fold.kind == query::FoldKind::Count) {
+                ASSERT_LE(partials.size(), finalRows.size())
+                    << "seed " << seed;
+                for (std::size_t i = 0; i < partials.size(); ++i)
+                    EXPECT_EQ(partials[i], finalRows[i])
+                        << "count partials are not a prefix, seed "
+                        << seed << ", row " << i;
+            } else {
+                const std::set<std::string> finalSet(finalRows.begin(),
+                                                     finalRows.end());
+                for (const auto &row : partials)
+                    EXPECT_TRUE(finalSet.count(row))
+                        << "utilization partial missing from the "
+                           "final table, seed "
+                        << seed << ": " << row;
+            }
+        }
+    }
 }

@@ -297,20 +297,6 @@ TEST(QueryEngine, RttFoldPairsBeginAndEndOnParam)
     EXPECT_EQ(table.rows[0][3].real, 200.0 * 1e-6);
 }
 
-TEST(QueryEngine, AcceptedAndSeenCounters)
-{
-    const auto dict = testDictionary();
-    query::QueryEngine engine(mustParse("filter stream=0 | count"),
-                              dict);
-    engine.onEvent(ev(100, tokSend, 0));
-    engine.onEvent(ev(200, tokSend, 1));
-    engine.onEvent(ev(300, tokSend, 0));
-    EXPECT_EQ(engine.eventsSeen(), 3u);
-    EXPECT_EQ(engine.eventsAccepted(), 2u);
-    const auto table = engine.finish();
-    EXPECT_EQ(totalCount(table), 2u);
-}
-
 TEST(QueryEngine, FileStreamingMatchesInMemoryExecution)
 {
     const char *path = test::tempPath("supmon_query_engine_test.smtr");

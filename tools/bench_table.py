@@ -59,24 +59,22 @@ def count(rates, key):
 
 def render(query, reader, faults, live, sim):
     rows = [
-        "| pipeline | serial | sharded `--jobs 1` | sharded `--jobs 4` | jobs=4 vs serial |",
-        "|---|---|---|---|---|",
-        "| `filter ... | count` | {} | {} | {} | {} |".format(
-            mevents(query, "filter_count_events_per_sec"),
+        "| pipeline | `--jobs 1` | `--jobs 4` | jobs=4 vs jobs=1 |",
+        "|---|---|---|---|",
+        "| `filter ... | count` | {} | {} | {} |".format(
             mevents(query, "filter_count_sharded_jobs1_events_per_sec"),
             mevents(query, "filter_count_sharded_jobs4_events_per_sec"),
-            ratio(query, "filter_count_sharded_jobs4_vs_serial"),
+            ratio(query, "filter_count_scaling_jobs4_vs_jobs1"),
         ),
-        "| `states` | {} | {} | {} | {} |".format(
-            mevents(query, "states_events_per_sec"),
+        "| `states` | {} | {} | {} |".format(
             mevents(query, "states_sharded_jobs1_events_per_sec"),
             mevents(query, "states_sharded_jobs4_events_per_sec"),
-            ratio(query, "states_sharded_jobs4_vs_serial"),
+            ratio(query, "states_scaling_jobs4_vs_jobs1"),
         ),
-        "| `window 100us | utilization` | {} | - | - | - |".format(
+        "| `window 100us | utilization` | {} | - | - |".format(
             mevents(query, "windowed_utilization_events_per_sec"),
         ),
-        "| `rtt begin=... end=...` | {} | - | - | - |".format(
+        "| `rtt begin=... end=...` | {} | - | - |".format(
             mevents(query, "rtt_events_per_sec"),
         ),
         "",

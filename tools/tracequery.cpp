@@ -41,12 +41,15 @@
  * Query syntax (see src/query/query.hh):
  *   filter stream=servant.* token=evWork* | window 10ms | utilization
  *
- * Saved trace files are evaluated in a single streaming pass with
- * bounded memory, so traces far larger than RAM work. With --jobs N a
- * single file is split into N record shards evaluated concurrently
- * (bit-exact with the streaming pass), several files are evaluated
- * concurrently (output stays in argument order), and `--scenario all`
- * runs the scenario simulations concurrently. Exit status: 0 ok, 1
+ * Saved trace files are read in a single streaming pass and never
+ * loaded whole; each record shard (one by default) keeps its closed
+ * state intervals or buffered matching events until the merge, so
+ * peak memory grows with the shard size for `states`, `utilization`,
+ * windowed `count`, `latency` and `rtt` (src/query/folds.hh). With
+ * --jobs N a single file is split into N record shards evaluated
+ * concurrently (bit-exact with one shard), several files are
+ * evaluated concurrently (output stays in argument order), and
+ * `--scenario all` runs the scenario simulations concurrently. Exit status: 0 ok, 1
  * unreadable/invalid input or failed run, 2 usage or query parse
  * error.
  */
