@@ -1,17 +1,24 @@
 /**
  * @file
- * Query throughput: run filter+fold pipelines over a saved 1M-event
- * trace file and report events/second.
+ * Query throughput: run filter+fold pipelines over saved 1M-event
+ * trace files and report events/second.
  *
- * The trace is generated deterministically (seeded), written with
- * saveTrace(), and then only ever read back through the query entry
- * points — the timed runs never hold the trace as an event vector.
+ * The traces are generated deterministically (seeded), written with
+ * saveTrace() into a private temporary directory, and then only ever
+ * read back through the query entry points — the timed runs never
+ * hold a trace as an event vector. The first trace spreads its events
+ * over 32 streams; the second over 4,096 streams with ids 8 apart
+ * (the ray tracer's streamsPerNode layout), where per-stream and
+ * per-row costs dominate.
  *
  * Every pipeline runs through the one query executor, the sharded
  * pipeline (zero-copy mmap blocks, fused decode+filter, arena folds,
  * one in-order merge — see ARCHITECTURE.md §11):
  *
  *  - `<id>_events_per_sec`: runQueryFile(), the one-shard run;
+ *  - `many_streams_<kind>_events_per_sec`: the same on the
+ *    4,096-stream trace, for `states`, `latency bins=50` and
+ *    `window 100ms | count`;
  *  - `<id>_sharded_jobs{1,2,4}_events_per_sec`: runQueryFileSharded()
  *    at 1, 2 and 4 jobs, for `states` and filter+count;
  *  - `<id>_scaling_jobs4_vs_jobs1`: the median over paired rounds of
@@ -30,6 +37,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <vector>
 
 #include "bench_common.hh"
@@ -44,6 +53,9 @@ namespace
 {
 
 constexpr std::uint64_t eventCount = 1000000;
+/** Streams of the many-stream trace, and the spacing of their ids. */
+constexpr unsigned manyStreams = 4096;
+constexpr unsigned streamSpacing = 8;
 constexpr std::uint16_t tokWork = 1;
 constexpr std::uint16_t tokWait = 2;
 constexpr std::uint16_t tokSend = 3;
@@ -64,8 +76,11 @@ benchDictionary()
     return dict;
 }
 
+/** Write eventCount seeded events over @p streams stream ids
+ *  (0, @p spacing, 2 * @p spacing, ...). */
 bool
-writeBenchTrace(const std::string &path)
+writeBenchTrace(const std::string &path, unsigned streams,
+                unsigned spacing)
 {
     sim::Random rng(20260805);
     std::vector<trace::TraceEvent> events;
@@ -75,7 +90,8 @@ writeBenchTrace(const std::string &path)
         ts += rng.uniformInt(10, 2000);
         trace::TraceEvent ev;
         ev.timestamp = ts;
-        ev.stream = static_cast<unsigned>(rng.uniformInt(0, 31));
+        ev.stream = spacing * static_cast<unsigned>(
+                                  rng.uniformInt(0, streams - 1));
         ev.token = static_cast<std::uint16_t>(
             rng.uniformInt(tokWork, tokSend));
         ev.param = static_cast<std::uint32_t>(rng.uniformInt(0, 999));
@@ -210,9 +226,20 @@ main(int argc, char **argv)
                   "filter+fold throughput over a 1M-event trace "
                   "file");
 
-    const std::string path = "/tmp/supmon_bench_query.smtr";
-    if (!writeBenchTrace(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::string dir = (std::filesystem::temp_directory_path() /
+                       "supmon-bench-query-XXXXXX")
+                          .string();
+    if (!::mkdtemp(dir.data())) {
+        std::fprintf(stderr, "cannot create %s\n", dir.c_str());
+        return 1;
+    }
+    const std::string path = dir + "/query.smtr";
+    const std::string manyPath = dir + "/many_streams.smtr";
+    if (!writeBenchTrace(path, 32, 1) ||
+        !writeBenchTrace(manyPath, manyStreams, streamSpacing)) {
+        std::fprintf(stderr, "cannot write the traces in %s\n",
+                     dir.c_str());
+        std::filesystem::remove_all(dir);
         return 1;
     }
 
@@ -241,6 +268,28 @@ main(int argc, char **argv)
         report.add(std::string(c.id) + "_events_per_sec", rate);
     }
 
+    const struct
+    {
+        const char *kind;
+        const char *text;
+    } manyCases[] = {
+        {"states", "states"},
+        {"latency", "latency bins=50"},
+        {"window_count", "window 100ms | count"},
+    };
+    std::printf("\n");
+    for (const auto &c : manyCases) {
+        const double rate = timeQuery(manyPath, dict, c.text);
+        if (rate <= 0.0)
+            status = 1;
+        bench::paperRow(
+            sim::strprintf("%s, %u streams", c.text, manyStreams).c_str(),
+            "-", eps(rate));
+        report.add(sim::strprintf("many_streams_%s_events_per_sec",
+                                  c.kind),
+                   rate);
+    }
+
     // The scaling floors restate the former jobs=4-vs-per-event
     // floors (2.0x filter+count, 1.3x states) in jobs=1 terms, from
     // the committed rows: 2.0 x 37.34/90.72 and 1.3 x 27.87/53.79.
@@ -260,6 +309,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot write BENCH_query.json\n");
         status = 1;
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
     return status;
 }

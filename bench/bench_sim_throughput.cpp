@@ -7,7 +7,8 @@
  *
  *  - the ladder-queue kernel (sim::Simulation, the production path);
  *  - the reference binary heap (sim::ReferenceSimulation, the
- *    executable specification with the move-out fix);
+ *    executable specification with the move-out fix; test-only code
+ *    in tests/sim/reference_queue.hh);
  *  - the seed binary heap, reproduced here verbatim including the
  *    per-event `Item item = queue.top();` closure copy the project
  *    started with.

@@ -1,9 +1,5 @@
 #include "engine.hh"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdlib>
-
 #include "query/sharded.hh"
 #include "trace/io.hh"
 
@@ -12,103 +8,47 @@ namespace supmon
 namespace query
 {
 
-namespace
-{
-
-bool
-allDigits(const std::string &s)
-{
-    return !s.empty() &&
-           std::all_of(s.begin(), s.end(), [](char c) {
-               return std::isdigit(static_cast<unsigned char>(c));
-           });
-}
-
-/** "N" or "a-b" stream id range; false if not numeric. */
-bool
-numericStreamRange(const std::string &pattern, unsigned &lo,
-                   unsigned &hi)
-{
-    const auto dash = pattern.find('-');
-    if (dash == std::string::npos) {
-        if (!allDigits(pattern))
-            return false;
-        lo = hi = static_cast<unsigned>(
-            std::strtoul(pattern.c_str(), nullptr, 10));
-        return true;
-    }
-    const std::string a = pattern.substr(0, dash);
-    const std::string b = pattern.substr(dash + 1);
-    if (!allDigits(a) || !allDigits(b))
-        return false;
-    lo = static_cast<unsigned>(std::strtoul(a.c_str(), nullptr, 10));
-    hi = static_cast<unsigned>(std::strtoul(b.c_str(), nullptr, 10));
-    return lo <= hi;
-}
-
-/** Flat stream-match cache covers ids below this; rest use a map
- *  (a hostile trace can carry any 32-bit stream id). */
-constexpr unsigned streamCacheLimit = 1u << 16;
-
-} // namespace
-
 bool
 FilterChain::CompiledFilter::streamAccepted(
+    unsigned stream, const trace::EventDictionary &dict) const
+{
+    for (const auto &pattern : spec.streamPatterns) {
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+        if (parseRange(pattern, lo, hi)
+                ? (stream >= lo && stream <= hi)
+                : globMatch(pattern, dict.streamName(stream)))
+            return true;
+    }
+    return false;
+}
+
+bool
+FilterChain::CompiledFilter::streamMatches(
     unsigned stream, const trace::EventDictionary &dict)
 {
-    // Resolve the patterns against this stream once; later events on
-    // the stream are one flat-table load.
-    bool match = false;
-    for (const auto &pattern : streamPatterns) {
-        unsigned lo = 0;
-        unsigned hi = 0;
-        if (numericStreamRange(pattern, lo, hi)
-                ? (stream >= lo && stream <= hi)
-                : globMatch(pattern, dict.streamName(stream))) {
-            match = true;
-            break;
-        }
-    }
-    if (stream < streamCacheLimit) {
-        if (stream >= streamCache.size())
-            streamCache.resize(
-                std::min<std::size_t>(
-                    std::max<std::size_t>(stream + 1,
-                                          streamCache.size() * 2),
-                    streamCacheLimit),
-                -1);
-        streamCache[stream] = match ? 1 : 0;
-    } else {
-        streamMatchBig.emplace(stream, match);
-    }
-    return match;
+    // Resolve the patterns against a stream once; later events on
+    // the stream are one table load.
+    std::int8_t &cached = streamCache[stream];
+    if (cached < 0)
+        cached = streamAccepted(stream, dict) ? 1 : 0;
+    return cached != 0;
 }
 
 bool
 FilterChain::CompiledFilter::accepts(
     const trace::TraceEvent &ev, const trace::EventDictionary &dict)
 {
-    if (hasFrom && ev.timestamp < from)
+    if (spec.hasFrom && ev.timestamp < spec.from)
         return false;
-    if (hasTo && ev.timestamp >= to)
+    if (spec.hasTo && ev.timestamp >= spec.to)
         return false;
-    if (hasParam && (ev.param < paramLo || ev.param > paramHi))
+    if (spec.hasParam &&
+        (ev.param < spec.paramLo || ev.param > spec.paramHi))
         return false;
-    if (hasTokenFilter && !tokens.contains(ev.token))
+    if (!spec.tokenPatterns.empty() && !tokens.contains(ev.token))
         return false;
-    if (!streamPatterns.empty()) {
-        if (ev.stream < streamCache.size()) {
-            const std::int8_t cached = streamCache[ev.stream];
-            if (cached >= 0)
-                return cached != 0;
-        } else if (ev.stream >= streamCacheLimit) {
-            auto it = streamMatchBig.find(ev.stream);
-            if (it != streamMatchBig.end())
-                return it->second;
-        }
-        return streamAccepted(ev.stream, dict);
-    }
-    return true;
+    return spec.streamPatterns.empty() || streamMatches(ev.stream, dict);
 }
 
 FilterChain::FilterChain(const Query &query,
@@ -117,17 +57,9 @@ FilterChain::FilterChain(const Query &query,
 {
     for (const FilterSpec &spec : query.filters) {
         CompiledFilter filter;
-        filter.hasTokenFilter = !spec.tokenPatterns.empty();
+        filter.spec = spec;
         for (const auto &pattern : spec.tokenPatterns)
             filter.tokens.add(pattern, dict);
-        filter.streamPatterns = spec.streamPatterns;
-        filter.hasFrom = spec.hasFrom;
-        filter.hasTo = spec.hasTo;
-        filter.from = spec.from;
-        filter.to = spec.to;
-        filter.hasParam = spec.hasParam;
-        filter.paramLo = spec.paramLo;
-        filter.paramHi = spec.paramHi;
         filters.push_back(std::move(filter));
     }
 }
@@ -169,34 +101,19 @@ FilterChain::filterDecodeBatch(const unsigned char *raw,
     // with the stage state hoisted: per record that is the three
     // decode loads, one bitmap test, and one flat cache load,
     // instead of re-walking the stage list and its feature flags.
-    if (filters.size() == 1 && !filters[0].hasFrom &&
-        !filters[0].hasTo && !filters[0].hasParam) {
+    if (filters.size() == 1 && !filters[0].spec.hasFrom &&
+        !filters[0].spec.hasTo && !filters[0].spec.hasParam) {
         CompiledFilter &f = filters[0];
         const TokenSet *tokens =
-            f.hasTokenFilter ? &f.tokens : nullptr;
-        const bool hasStreams = !f.streamPatterns.empty();
+            f.spec.tokenPatterns.empty() ? nullptr : &f.tokens;
+        const bool hasStreams = !f.spec.streamPatterns.empty();
         for (std::size_t i = 0; i < n;
              ++i, raw += trace::TraceReader::recordBytes) {
             trace::TraceReader::decodeRecord(raw, ev);
             if (tokens && !tokens->contains(ev.token))
                 continue;
-            if (hasStreams) {
-                // Flat cache hit is the steady state; the first
-                // sighting of a stream takes the full resolver
-                // (which also fills the cache, so the size/data
-                // loads below see the grown vector next time).
-                bool match;
-                if (ev.stream < f.streamCache.size() &&
-                    f.streamCache[ev.stream] >= 0)
-                    match = f.streamCache[ev.stream] != 0;
-                else if (ev.stream >= streamCacheLimit &&
-                         f.streamMatchBig.count(ev.stream))
-                    match = f.streamMatchBig.at(ev.stream);
-                else
-                    match = f.streamAccepted(ev.stream, dictionary);
-                if (!match)
-                    continue;
-            }
+            if (hasStreams && !f.streamMatches(ev.stream, dictionary))
+                continue;
             out[kept++] = ev;
         }
         return kept;

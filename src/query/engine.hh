@@ -10,8 +10,6 @@
 #ifndef QUERY_ENGINE_HH
 #define QUERY_ENGINE_HH
 
-#include <map>
-
 #include "query/folds.hh"
 #include "query/query.hh"
 #include "query/table.hh"
@@ -76,26 +74,19 @@ class FilterChain
     /** One compiled `filter` stage. */
     struct CompiledFilter
     {
-        bool hasTokenFilter = false;
+        FilterSpec spec;
         TokenSet tokens;
-        std::vector<std::string> streamPatterns;
-        /** Lazy glob-vs-stream-name results, flat per stream id
-         *  (-1 unknown / 0 reject / 1 accept); ids past the flat
-         *  range fall back to the map. */
-        std::vector<std::int8_t> streamCache;
-        std::map<unsigned, bool> streamMatchBig;
-        bool hasFrom = false;
-        bool hasTo = false;
-        sim::Tick from = 0;
-        sim::Tick to = 0;
-        bool hasParam = false;
-        std::uint32_t paramLo = 0;
-        std::uint32_t paramHi = 0;
+        /** Lazy glob-vs-stream-name results per stream id
+         *  (-1 unknown / 0 reject / 1 accept). */
+        StreamTable<std::int8_t> streamCache{-1};
 
         bool accepts(const trace::TraceEvent &ev,
                      const trace::EventDictionary &dict);
+        /** Does @p stream match the stream patterns (cached)? */
+        bool streamMatches(unsigned stream,
+                           const trace::EventDictionary &dict);
         bool streamAccepted(unsigned stream,
-                            const trace::EventDictionary &dict);
+                            const trace::EventDictionary &dict) const;
     };
 
     const trace::EventDictionary &dictionary;

@@ -4,7 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
-#include <set>
+#include <numeric>
 #include <unordered_map>
 
 #include "sim/logging.hh"
@@ -16,38 +16,12 @@ namespace supmon
 namespace query
 {
 
-/** A fold kind's merge state; see ShardMerge. */
-class ShardMerge::Accumulator
-{
-  public:
-    using WindowSink = ShardMerge::WindowSink;
-
-    virtual ~Accumulator() = default;
-    virtual void absorb(ShardFold &shard) = 0;
-
-    virtual void
-    sealWindowsBefore(sim::Tick now, const WindowSink &sink)
-    {
-        (void)now;
-        (void)sink;
-    }
-
-    virtual Table finish() = 0;
-};
-
 namespace
 {
 
-std::string
-tokenName(const trace::EventDictionary &dict, std::uint16_t token)
-{
-    const trace::EventDef *def = dict.find(token);
-    return def ? def->name : sim::strprintf("0x%04x", token);
-}
-
-/** Open-state slots are flat-indexed below this stream id; rarer
- *  (hostile) ids above it fall back to an ordered map. */
-constexpr unsigned flatStreamLimit = 1u << 16;
+/** Stream ids below this fit the packed interval arena's 16-bit
+ *  field (StateShard). */
+constexpr unsigned packedStreamLimit = 1u << 16;
 
 /** Ensure the compiled table exists (normally shared via the
  *  context; compiled locally for a bare context). */
@@ -68,8 +42,7 @@ stateTableFor(const FoldContext &ctx)
  * per-(stream,state) statistics match the batch path bit for bit.
  * States are handled as interned ids of a compiled StateTable (one
  * dense-table load per event instead of a dictionary map lookup) and
- * open states live in a flat per-stream array, with an ordered-map
- * fallback for hostile stream ids.
+ * open states live in a StreamTable.
  */
 class StateTracker
 {
@@ -86,11 +59,6 @@ class StateTracker
         bool isOpen = false;
     };
 
-    explicit StateTracker(std::shared_ptr<const StateTable> state_table)
-        : table(std::move(state_table))
-    {
-    }
-
     /** Record consumed events from @p first to @p last (trace order,
      *  so a whole block may report once). */
     void
@@ -101,14 +69,6 @@ class StateTracker
             firstTs = first;
         }
         lastTs = last;
-    }
-
-    template <typename Emit>
-    void
-    onEvent(const trace::TraceEvent &ev, Emit &&emit)
-    {
-        span(ev.timestamp, ev.timestamp);
-        track(ev, table->tokenState.data(), emit);
     }
 
     /** The per-event machine alone, with the token table hoisted out
@@ -122,7 +82,7 @@ class StateTracker
         const std::uint16_t sid = token_state[ev.token];
         if (sid == StateTable::noState)
             return;
-        Slot &cur = slot(ev.stream);
+        Slot &cur = slots[ev.stream];
         if (!cur.isOpen)
             cur.firstBegin = ev.timestamp;
         else if (ev.timestamp > cur.since)
@@ -132,18 +92,15 @@ class StateTracker
         cur.isOpen = true;
     }
 
-    /** Visit (stream, slot) of every stream that has seen a Begin,
-     *  streams ascending. */
+    /** Visit (stream, slot) of every stream that has seen a Begin. */
     template <typename F>
     void
     forEachOpen(F &&f) const
     {
-        for (unsigned s = 0; s < flat.size(); ++s) {
-            if (flat[s].isOpen)
-                f(s, flat[s]);
-        }
-        for (const auto &kv : overflow)
-            f(kv.first, kv.second);
+        slots.forEach([&f](unsigned stream, const Slot &cur) {
+            if (cur.isOpen)
+                f(stream, cur);
+        });
     }
 
     bool
@@ -165,21 +122,7 @@ class StateTracker
     }
 
   private:
-    Slot &
-    slot(unsigned stream)
-    {
-        if (stream >= flatStreamLimit)
-            return overflow[stream];
-        if (stream >= flat.size())
-            flat.resize(std::min<std::size_t>(
-                std::max<std::size_t>(stream + 1, flat.size() * 2),
-                flatStreamLimit));
-        return flat[stream];
-    }
-
-    std::shared_ptr<const StateTable> table;
-    std::vector<Slot> flat;
-    std::map<unsigned, Slot> overflow;
+    StreamTable<Slot> slots;
     sim::Tick firstTs = 0;
     sim::Tick lastTs = 0;
     bool sawEvent = false;
@@ -248,6 +191,270 @@ struct Windower
     }
 };
 
+/**
+ * Open-addressing integer-sum table, the home of every order-free
+ * integer aggregate: (stream, token) counts keyed (stream << 16) |
+ * token, covered ticks keyed by stream. Keys are below 2^48, so the
+ * all-ones empty sentinel is never a real key; power-of-two capacity,
+ * linear probing, growth at 3/4 load. A table starts at 8 slots, so
+ * memory follows the keys held (one table per window, per live batch).
+ */
+class CountTable
+{
+  public:
+    void
+    add(std::uint64_t key, std::uint64_t n)
+    {
+        const std::size_t i = probeOf(key);
+        if (keys[i] == key)
+            vals[i] += n;
+        else
+            insert(key, n);
+    }
+
+    /** The sum of @p key; 0 when absent. */
+    std::uint64_t
+    find(std::uint64_t key) const
+    {
+        const std::size_t i = probeOf(key);
+        return keys[i] == key ? vals[i] : 0;
+    }
+
+    std::size_t
+    size() const
+    {
+        return used;
+    }
+
+    /** Every (key, sum) pair, keys ascending. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>
+    sorted() const
+    {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+        out.reserve(used);
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (keys[i] != emptyKey)
+                out.emplace_back(keys[i], vals[i]);
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+    /** Add every sum of @p other. */
+    void
+    addAll(const CountTable &other)
+    {
+        // Size for the union first: fed another table's slot order,
+        // a smaller table would pile its keys into one long cluster.
+        std::size_t capacity = keys.size();
+        while ((used + other.used) * 4 > capacity * 3)
+            capacity *= 2;
+        if (capacity != keys.size())
+            rehash(capacity);
+        for (std::size_t i = 0; i < other.keys.size(); ++i) {
+            if (other.keys[i] != emptyKey)
+                add(other.keys[i], other.vals[i]);
+        }
+    }
+
+  private:
+    static constexpr std::uint64_t emptyKey = ~std::uint64_t(0);
+
+    std::size_t
+    probeOf(std::uint64_t key) const
+    {
+        // Fibonacci-style multiplicative hash onto the table size.
+        std::size_t i = static_cast<std::size_t>(
+                            (key * 0x9E3779B97F4A7C15ull) >> 32) &
+                        mask;
+        while (keys[i] != emptyKey && keys[i] != key)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** add() of a new key (out of line, so that add() inlines into
+     *  per-event loops). */
+    [[gnu::noinline]] void
+    insert(std::uint64_t key, std::uint64_t n)
+    {
+        if ((used + 1) * 4 > (mask + 1) * 3)
+            rehash((mask + 1) * 2);
+        const std::size_t i = probeOf(key);
+        keys[i] = key;
+        vals[i] = n;
+        ++used;
+    }
+
+    void
+    rehash(std::size_t capacity)
+    {
+        const std::vector<std::uint64_t> oldKeys = std::move(keys);
+        const std::vector<std::uint64_t> oldVals = std::move(vals);
+        keys.assign(capacity, emptyKey);
+        vals.assign(capacity, 0);
+        mask = capacity - 1;
+        for (std::size_t i = 0; i < oldKeys.size(); ++i) {
+            if (oldKeys[i] == emptyKey)
+                continue;
+            const std::size_t j = probeOf(oldKeys[i]);
+            keys[j] = oldKeys[i];
+            vals[j] = oldVals[i];
+        }
+    }
+
+    /** Capacity - 1. */
+    std::size_t mask = 7;
+    std::size_t used = 0;
+    std::vector<std::uint64_t> keys =
+        std::vector<std::uint64_t>(8, emptyKey);
+    std::vector<std::uint64_t> vals = std::vector<std::uint64_t>(8, 0);
+};
+
+/**
+ * Window index -> CountTable, each created on first touch, so memory
+ * follows the keys held, not the windows a silence spans. The window
+ * last looked up is kept at hand (time-ordered input touches windows
+ * in nearly ascending order).
+ */
+class WindowSums
+{
+  public:
+    std::map<std::int64_t, CountTable> tables;
+
+    CountTable &
+    at(std::int64_t k)
+    {
+        if (recent == tables.end() || recent->first != k)
+            recent = tables.try_emplace(k).first;
+        return recent->second;
+    }
+
+    /** Call @p f(k, table) for the windows lo..hi, ascending. */
+    template <typename F>
+    void
+    forRange(std::int64_t lo, std::int64_t hi, F &&f)
+    {
+        if (lo > hi)
+            return;
+        auto it = (at(lo), recent);
+        for (std::int64_t k = lo;; ++k) {
+            f(k, it->second);
+            if (k == hi)
+                return;
+            const auto next = std::next(it);
+            it = next != tables.end() && next->first == k + 1
+                     ? next
+                     : tables.emplace_hint(next, k + 1, CountTable());
+        }
+    }
+
+    /** Window @p k's table, or nullptr if nothing touched it. */
+    const CountTable *
+    find(std::int64_t k) const
+    {
+        const auto it = tables.find(k);
+        return it == tables.end() ? nullptr : &it->second;
+    }
+
+  private:
+    std::map<std::int64_t, CountTable>::iterator recent = tables.end();
+};
+
+/**
+ * The dense stream-slot index: each stream id gets the next slot on
+ * first sight, so per-stream accumulators are vectors sized by the
+ * streams seen, not by the largest id. Token ids index names the
+ * same way.
+ */
+class SlotIndex
+{
+  public:
+    /** The slot of @p id, assigned on first sight. */
+    std::uint32_t
+    slotOf(unsigned id)
+    {
+        std::uint32_t &slot = index[id];
+        return slot != none ? slot : assign(slot, id);
+    }
+
+    std::size_t
+    size() const
+    {
+        return ids.size();
+    }
+
+    unsigned
+    idOf(std::uint32_t slot) const
+    {
+        return ids[slot];
+    }
+
+    /** Every slot, ids ascending. */
+    std::vector<std::uint32_t>
+    ascending() const
+    {
+        std::vector<std::uint32_t> order(ids.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                      return ids[a] < ids[b];
+                  });
+        return order;
+    }
+
+  private:
+    static constexpr std::uint32_t none = ~std::uint32_t(0);
+
+    /** First sight of @p id (out of line, so that slotOf() inlines
+     *  into per-event and per-interval loops). */
+    [[gnu::noinline]] std::uint32_t
+    assign(std::uint32_t &slot, unsigned id)
+    {
+        slot = static_cast<std::uint32_t>(ids.size());
+        ids.push_back(id);
+        return slot;
+    }
+
+    StreamTable<std::uint32_t> index{none};
+    std::vector<unsigned> ids;
+};
+
+/** The stream and token names a fold renders, each resolved once;
+ *  a returned name is copied into a cell before the next lookup. */
+class Names
+{
+  public:
+    explicit Names(const trace::EventDictionary &d) : dict(d) {}
+
+    const std::string &
+    stream(unsigned id)
+    {
+        const std::uint32_t slot = streamSlots.slotOf(id);
+        if (slot == streamNames.size())
+            streamNames.push_back(dict.streamName(id));
+        return streamNames[slot];
+    }
+
+    const std::string &
+    token(std::uint16_t id)
+    {
+        const std::uint32_t slot = tokenSlots.slotOf(id);
+        if (slot == tokenNames.size()) {
+            const trace::EventDef *def = dict.find(id);
+            tokenNames.push_back(def ? def->name
+                                     : sim::strprintf("0x%04x", id));
+        }
+        return tokenNames[slot];
+    }
+
+  private:
+    const trace::EventDictionary &dict;
+    SlotIndex streamSlots;
+    SlotIndex tokenSlots;
+    std::vector<std::string> streamNames;
+    std::vector<std::string> tokenNames;
+};
+
 // ======================================================= shard partials
 //
 // One class per fold kind. Each accumulates only what can be
@@ -265,90 +472,7 @@ struct MiniEvent
 /** Cap arena / replay-buffer preallocation (records). */
 constexpr std::uint64_t reserveCapRecords = 1u << 20;
 
-/**
- * Open-addressing (stream, token) -> count table: the unwindowed
- * count hot path. Keys pack as (stream << 16) | token (< 2^48, so
- * the all-ones empty sentinel is never a real key); power-of-two
- * capacity, linear probing, growth at 3/4 load. No allocation per
- * event — the table doubles rarely and the probe loop is a couple of
- * loads.
- */
-class CountTable
-{
-  public:
-    CountTable()
-    {
-        keys.assign(capacity, emptyKey);
-        vals.assign(capacity, 0);
-    }
-
-    void
-    increment(std::uint64_t key)
-    {
-        std::size_t i = probeOf(key);
-        if (keys[i] == emptyKey) {
-            if ((used + 1) * 4 > capacity * 3) {
-                grow();
-                i = probeOf(key);
-            }
-            keys[i] = key;
-            ++used;
-        }
-        ++vals[i];
-    }
-
-    /** Visit every (key, count) pair, in table order. */
-    template <typename F>
-    void
-    forEach(F &&f) const
-    {
-        for (std::size_t i = 0; i < capacity; ++i) {
-            if (keys[i] != emptyKey)
-                f(keys[i], vals[i]);
-        }
-    }
-
-  private:
-    static constexpr std::uint64_t emptyKey = ~std::uint64_t(0);
-
-    std::size_t
-    probeOf(std::uint64_t key) const
-    {
-        // Fibonacci-style multiplicative hash onto the table size.
-        std::size_t i = static_cast<std::size_t>(
-            (key * 0x9E3779B97F4A7C15ull) >> 32) &
-            (capacity - 1);
-        while (keys[i] != emptyKey && keys[i] != key)
-            i = (i + 1) & (capacity - 1);
-        return i;
-    }
-
-    void
-    grow()
-    {
-        const std::vector<std::uint64_t> oldKeys = std::move(keys);
-        const std::vector<std::uint64_t> oldVals = std::move(vals);
-        capacity *= 2;
-        keys.assign(capacity, emptyKey);
-        vals.assign(capacity, 0);
-        for (std::size_t i = 0; i < oldKeys.size(); ++i) {
-            if (oldKeys[i] == emptyKey)
-                continue;
-            const std::size_t j = probeOf(oldKeys[i]);
-            keys[j] = oldKeys[i];
-            vals[j] = oldVals[i];
-        }
-    }
-
-    /** Small to start with: the live engine makes one table per
-     *  pushed batch. */
-    std::size_t capacity = 64;
-    std::size_t used = 0;
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> vals;
-};
-
-class CountShard : public ShardFold
+class CountShard final : public ShardFold
 {
   public:
     explicit CountShard(const FoldContext &ctx)
@@ -366,7 +490,7 @@ class CountShard : public ShardFold
         if (windowed)
             buffer.push_back({ev.timestamp, ev.stream, ev.token});
         else
-            counts.increment(packKey(ev.stream, ev.token));
+            counts.add(packKey(ev.stream, ev.token), 1);
     }
 
     void
@@ -374,14 +498,12 @@ class CountShard : public ShardFold
     {
         if (windowed) {
             for (std::size_t i = 0; i < n; ++i)
-                buffer.push_back({events[i].timestamp,
-                                  events[i].stream,
+                buffer.push_back({events[i].timestamp, events[i].stream,
                                   events[i].token});
             return;
         }
         for (std::size_t i = 0; i < n; ++i)
-            counts.increment(
-                packKey(events[i].stream, events[i].token));
+            counts.add(packKey(events[i].stream, events[i].token), 1);
     }
 
     void
@@ -392,10 +514,7 @@ class CountShard : public ShardFold
         for (std::size_t i = 0; i < n;
              ++i, raw += trace::TraceReader::recordBytes) {
             trace::TraceReader::decodeRecord(raw, ev);
-            if (windowed)
-                buffer.push_back({ev.timestamp, ev.stream, ev.token});
-            else
-                counts.increment(packKey(ev.stream, ev.token));
+            CountShard::onEvent(ev);
         }
     }
 
@@ -430,14 +549,14 @@ class StateShard : public ShardFold
 {
   public:
     explicit StateShard(std::shared_ptr<const StateTable> state_table)
-        : table(std::move(state_table)), tracker(table)
+        : table(std::move(state_table))
     {
     }
 
     void
     onEvent(const trace::TraceEvent &ev) override
     {
-        tracker.onEvent(ev, ArenaSink{this});
+        StateShard::onBatch(&ev, 1);
     }
 
     void
@@ -533,7 +652,7 @@ class StateShard : public ShardFold
                  sim::Tick e)
     {
         const sim::Tick d = e - b;
-        if (stream < flatStreamLimit && d < wideDur) {
+        if (stream < packedStreamLimit && d < wideDur) {
             intervals.push_back({b, static_cast<std::uint32_t>(d),
                                  static_cast<std::uint16_t>(stream),
                                  sid});
@@ -550,16 +669,14 @@ class LatencyShard : public ShardFold
     void
     onEvent(const trace::TraceEvent &ev) override
     {
-        auto it = streams.find(ev.stream);
-        if (it == streams.end()) {
-            streams.emplace(
-                ev.stream,
-                PerStream{ev.timestamp, ev.timestamp, {}});
-        } else {
-            it->second.gaps.push_back(ev.timestamp -
-                                      it->second.last);
-            it->second.last = ev.timestamp;
+        const std::uint32_t slot = slots.slotOf(ev.stream);
+        if (slot == streams.size()) {
+            streams.push_back({ev.timestamp, ev.timestamp, {}});
+            return;
         }
+        PerStream &s = streams[slot];
+        s.gaps.push_back(ev.timestamp - s.last);
+        s.last = ev.timestamp;
     }
 
     struct PerStream
@@ -570,7 +687,9 @@ class LatencyShard : public ShardFold
         std::vector<sim::Tick> gaps;
     };
 
-    std::map<unsigned, PerStream> streams;
+    /** Stream id -> index into `streams` (first-seen order). */
+    SlotIndex slots;
+    std::vector<PerStream> streams;
 };
 
 class RttShard final : public ShardFold
@@ -706,11 +825,13 @@ class StateStitch
         return trace_end ? std::max(trace_end, lastTs) : lastTs;
     }
 
-    /** First absorbed event (0 before any). */
-    sim::Tick
-    traceBegin() const
+    /** The evaluation range [t0, t1): @p ctx's explicit bounds, else
+     *  the first absorbed event and closeTime(). */
+    std::pair<sim::Tick, sim::Tick>
+    range(const FoldContext &ctx) const
     {
-        return firstTs;
+        return {ctx.hasFrom ? ctx.from : firstTs,
+                ctx.hasTo ? ctx.to : closeTime(ctx.traceEnd)};
     }
 
     /** The open state of every stream that has seen a Begin. */
@@ -734,10 +855,11 @@ class StateStitch
 
 // ---------------------------------------------------------------- count
 
-class CountFold : public ShardMerge::Accumulator
+class CountFold : public ShardMerge
 {
   public:
-    explicit CountFold(const FoldContext &ctx) : context(ctx)
+    explicit CountFold(const FoldContext &ctx)
+        : context(ctx), names(*ctx.dict)
     {
         if (context.window) {
             windower.spec = *context.window;
@@ -750,10 +872,10 @@ class CountFold : public ShardMerge::Accumulator
     absorb(ShardFold &shard) override
     {
         const auto &s = static_cast<const CountShard &>(shard);
-        s.counts.forEach([this](std::uint64_t key, std::uint64_t n) {
-            counts[{0, static_cast<unsigned>(key >> 16),
-                    static_cast<std::uint16_t>(key & 0xffff)}] += n;
-        });
+        if (!s.windowed) {
+            counts.at(0).addAll(s.counts);
+            return;
+        }
         // Windowed counts bucket against the global origin: the
         // first accepted event, held by the first non-empty shard.
         for (const MiniEvent &m : s.buffer) {
@@ -762,8 +884,11 @@ class CountFold : public ShardMerge::Accumulator
             std::int64_t hi = 0;
             if (!windower.indicesOf(m.ts, lo, hi))
                 continue;
-            for (std::int64_t k = lo; k <= hi; ++k)
-                ++counts[{k, m.stream, m.token}];
+            const std::uint64_t key =
+                CountShard::packKey(m.stream, m.token);
+            counts.forRange(lo, hi, [key](std::int64_t, CountTable &t) {
+                t.add(key, 1);
+            });
         }
     }
 
@@ -771,8 +896,12 @@ class CountFold : public ShardMerge::Accumulator
     finish() override
     {
         Table table = emptyTable();
-        for (const auto &kv : counts)
-            addRow(table, kv);
+        std::size_t rows = 0;
+        for (const auto &kv : counts.tables)
+            rows += kv.second.size();
+        table.rows.reserve(rows);
+        for (const auto &[k, window] : counts.tables)
+            addRows(table, k, window);
         return table;
     }
 
@@ -781,26 +910,19 @@ class CountFold : public ShardMerge::Accumulator
     {
         if (!context.window)
             return;
-        // The map is window-major, so each window's rows are one run
-        // of it, in finish()'s row order.
+        // Windows ascending, each window's rows in finish()'s order.
         const std::int64_t ended = windower.endedBy(now);
-        auto it = counts.lower_bound({sealed, 0, 0});
-        while (it != counts.end() && std::get<0>(it->first) < ended) {
-            const std::int64_t k = std::get<0>(it->first);
+        for (auto it = counts.tables.lower_bound(sealed);
+             it != counts.tables.end() && it->first < ended; ++it) {
             Table table = emptyTable();
-            for (; it != counts.end() && std::get<0>(it->first) == k;
-                 ++it)
-                addRow(table, *it);
+            table.rows.reserve(it->second.size());
+            addRows(table, it->first, it->second);
             sink(table);
         }
         sealed = std::max(sealed, ended);
     }
 
   private:
-    using Counts =
-        std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
-                 std::uint64_t>;
-
     Table
     emptyTable() const
     {
@@ -812,24 +934,30 @@ class CountFold : public ShardMerge::Accumulator
         return table;
     }
 
+    /** Window @p k's rows, (stream, token) ascending. */
     void
-    addRow(Table &table, const Counts::value_type &kv) const
+    addRows(Table &table, std::int64_t k, const CountTable &window)
     {
-        const auto &[window, stream, token] = kv.first;
-        std::vector<Value> row;
-        if (context.window) {
-            row.push_back(Value::number(
-                sim::toMilliseconds(windower.startOf(window))));
+        const double startMs = sim::toMilliseconds(windower.startOf(k));
+        for (const auto &[key, n] : window.sorted()) {
+            Value stream =
+                Value::str(names.stream(static_cast<unsigned>(key >> 16)));
+            Value event = Value::str(
+                names.token(static_cast<std::uint16_t>(key & 0xffff)));
+            if (context.window)
+                table.emplaceRow(Value::number(startMs), std::move(stream),
+                                 std::move(event), Value::count(n));
+            else
+                table.emplaceRow(std::move(stream), std::move(event),
+                                 Value::count(n));
         }
-        row.push_back(Value::str(context.dict->streamName(stream)));
-        row.push_back(Value::str(tokenName(*context.dict, token)));
-        row.push_back(Value::count(kv.second));
-        table.addRow(std::move(row));
     }
 
     FoldContext context;
     Windower windower;
-    Counts counts;
+    Names names;
+    /** Window index -> (stream, token) counts (unwindowed: window 0). */
+    WindowSums counts;
     /** Windows below this index were handed to a WindowSink. */
     std::int64_t sealed = 0;
 };
@@ -837,15 +965,15 @@ class CountFold : public ShardMerge::Accumulator
 // ---------------------------------------------------------------- states
 
 /**
- * Flat per-(stream, state) accumulator for `states`: one
- * multiply-indexed array slot per key instead of an ordered-map
- * lookup, so replaying the stitched interval stream costs a few loads
- * per interval. Each key sees the same SummaryStat::push /
- * clamped-overlap sequence as trace::ActivityMap::durationStats()
- * and finish() renders streams ascending, states in id =
- * statesInOrder() order.
+ * Per-(stream, state) accumulator for `states`: each stream's states
+ * are one run of a vector indexed by the stream's dense slot, so
+ * replaying the stitched interval stream costs a few loads per
+ * interval and memory follows the streams seen. Each key sees the
+ * same SummaryStat::push / clamped-overlap sequence as
+ * trace::ActivityMap::durationStats() and finish() renders streams
+ * ascending, states in id = statesInOrder() order.
  */
-class StateAccumulator : public ShardMerge::Accumulator
+class StateAccumulator : public ShardMerge
 {
   public:
     explicit StateAccumulator(const FoldContext &ctx)
@@ -858,34 +986,38 @@ class StateAccumulator : public ShardMerge::Accumulator
     absorb(ShardFold &shard) override
     {
         stitch.absorb(static_cast<const StateShard &>(shard),
-                      AddSink{this});
+                      [this](auto... interval) { add(interval...); });
     }
 
     Table
     finish() override
     {
-        stitch.close(context.traceEnd, AddSink{this});
-        const sim::Tick t0 =
-            context.hasFrom ? context.from : stitch.traceBegin();
-        const sim::Tick t1 = context.hasTo
-                                 ? context.to
-                                 : stitch.closeTime(context.traceEnd);
+        stitch.close(context.traceEnd,
+                     [this](auto... interval) { add(interval...); });
+        const auto [t0, t1] = stitch.range(context);
         Table out;
         out.columns = {"stream",  "state",  "count",
                        "total_ms", "mean_ms", "min_ms",
                        "max_ms",  "share"};
-        const unsigned flatStreams = static_cast<unsigned>(
-            nStates ? flat.size() / nStates : 0);
-        for (unsigned s = 0; s < flatStreams; ++s) {
-            for (std::size_t sid = 0; sid < nStates; ++sid)
-                addRow(out, s, sid, flat[s * nStates + sid], t0, t1);
-        }
-        for (const auto &kv : overflow) {
-            // Composite keys iterate stream-major, state-minor —
-            // the same row order as the flat part.
-            addRow(out, static_cast<unsigned>(kv.first / nStates),
-                   static_cast<std::size_t>(kv.first % nStates),
-                   kv.second, t0, t1);
+        out.rows.reserve(keys.size());
+        for (std::uint32_t slot : streams.ascending()) {
+            const std::string name =
+                context.dict->streamName(streams.idOf(slot));
+            for (std::size_t sid = 0; sid < nStates; ++sid) {
+                const Slot &k = keys[slot * nStates + sid];
+                if (k.stat.count() == 0)
+                    continue;
+                out.emplaceRow(
+                    Value::str(name), Value::str(table->states[sid]),
+                    Value::count(k.stat.count()),
+                    Value::number(k.stat.sum() * 1e-6),
+                    Value::number(k.stat.mean() * 1e-6),
+                    Value::number(k.stat.min() * 1e-6),
+                    Value::number(k.stat.max() * 1e-6),
+                    Value::number(t1 > t0 ? static_cast<double>(k.covered) /
+                                                static_cast<double>(t1 - t0)
+                                          : 0.0));
+            }
         }
         return out;
     }
@@ -895,19 +1027,6 @@ class StateAccumulator : public ShardMerge::Accumulator
     {
         sim::SummaryStat stat;
         sim::Tick covered = 0;
-    };
-
-    /** The stitch's emit target. */
-    struct AddSink
-    {
-        StateAccumulator *acc;
-
-        void
-        operator()(unsigned stream, std::uint16_t sid, sim::Tick b,
-                   sim::Tick e) const
-        {
-            acc->add(stream, sid, b, e);
-        }
     };
 
     void
@@ -924,65 +1043,39 @@ class StateAccumulator : public ShardMerge::Accumulator
             context.hasTo ? std::min(end, context.to) : end;
         if (hi <= lo)
             return;
-        Slot &slot = slotFor(stream, sid);
-        slot.stat.push(static_cast<double>(end - begin));
-        slot.covered += hi - lo;
+        const std::size_t index = streams.slotOf(stream) * nStates + sid;
+        if (index >= keys.size())
+            growKeys();
+        Slot &k = keys[index];
+        k.stat.push(static_cast<double>(end - begin));
+        k.covered += hi - lo;
     }
 
-    Slot &
-    slotFor(unsigned stream, std::uint16_t sid)
+    /** Out of line, so that add() stays small enough to inline into
+     *  the stitch's interval replay loop. */
+    [[gnu::noinline]] void
+    growKeys()
     {
-        if (stream >= flatStreamLimit)
-            return overflow[static_cast<std::uint64_t>(stream) *
-                                nStates +
-                            sid];
-        const std::size_t index = stream * nStates + sid;
-        if (index >= flat.size()) {
-            flat.resize(std::min<std::size_t>(
-                std::max<std::size_t>((stream + 1) * nStates,
-                                      flat.size() * 2),
-                static_cast<std::size_t>(flatStreamLimit) *
-                    nStates));
-        }
-        return flat[index];
-    }
-
-    void
-    addRow(Table &out, unsigned stream, std::size_t sid,
-           const Slot &slot, sim::Tick t0, sim::Tick t1) const
-    {
-        if (slot.stat.count() == 0)
-            return;
-        const double share =
-            t1 > t0 ? static_cast<double>(slot.covered) /
-                          static_cast<double>(t1 - t0)
-                    : 0.0;
-        out.addRow({Value::str(context.dict->streamName(stream)),
-                    Value::str(table->states[sid]),
-                    Value::count(slot.stat.count()),
-                    Value::number(slot.stat.sum() * 1e-6),
-                    Value::number(slot.stat.mean() * 1e-6),
-                    Value::number(slot.stat.min() * 1e-6),
-                    Value::number(slot.stat.max() * 1e-6),
-                    Value::number(share)});
+        keys.resize(streams.size() * nStates);
     }
 
     FoldContext context;
     std::shared_ptr<const StateTable> table;
     std::size_t nStates;
     StateStitch stitch;
-    std::vector<Slot> flat;
-    std::map<std::uint64_t, Slot> overflow;
+    SlotIndex streams;
+    /** (stream slot, state id) -> statistics, slot-major. */
+    std::vector<Slot> keys;
 };
 
 // ----------------------------------------------------------- utilization
 
-class UtilizationFold : public ShardMerge::Accumulator
+class UtilizationFold : public ShardMerge
 {
   public:
     UtilizationFold(const FoldSpec &spec, const FoldContext &ctx)
         : context(ctx), state(spec.state),
-          targetSid(stateTableFor(ctx)->idOf(state))
+          targetSid(stateTableFor(ctx)->idOf(state)), names(*ctx.dict)
     {
         if (context.window) {
             windower.spec = *context.window;
@@ -1000,46 +1093,32 @@ class UtilizationFold : public ShardMerge::Accumulator
         // the shard's intervals are bucketed.
         if (context.window && s.tracker.any())
             windower.anchor(s.tracker.traceBegin());
-        stitch.absorb(s, [this](unsigned stream, std::uint16_t sid,
-                                sim::Tick b, sim::Tick e) {
-            addInterval(stream, sid, b, e);
-        });
+        stitch.absorb(s, [this](auto... iv) { addInterval(iv...); });
     }
 
     Table
     finish() override
     {
         stitch.close(context.traceEnd,
-                     [this](unsigned stream, std::uint16_t sid,
-                            sim::Tick b, sim::Tick e) {
-                         addInterval(stream, sid, b, e);
-                     });
-        const sim::Tick t0 =
-            context.hasFrom ? context.from : stitch.traceBegin();
-        const sim::Tick t1 = context.hasTo
-                                 ? context.to
-                                 : stitch.closeTime(context.traceEnd);
-        // Every stream with an interval, ascending, and its name.
-        std::vector<std::pair<unsigned, std::string>> streams;
-        for (unsigned s = 0; s < seenFlat.size(); ++s) {
-            if (seenFlat[s])
-                streams.emplace_back(s, context.dict->streamName(s));
-        }
-        for (unsigned s : seenBig)
-            streams.emplace_back(s, context.dict->streamName(s));
+                     [this](auto... iv) { addInterval(iv...); });
+        const auto [t0, t1] = stitch.range(context);
+        // Every stream with an interval, ascending.
+        std::vector<unsigned> streams;
+        for (std::uint32_t slot : seen.ascending())
+            streams.push_back(seen.idOf(slot));
 
         Table table;
         if (!context.window) {
             table.columns = {"stream", "state", "utilization"};
-            const Coverage *whole = coverageOf(0);
-            for (const auto &[stream, name] : streams) {
-                const sim::Tick covered = coveredIn(whole, stream);
-                const double u =
-                    t1 > t0 ? static_cast<double>(covered) /
-                                  static_cast<double>(t1 - t0)
-                            : 0.0;
-                table.addRow({Value::str(name), Value::str(state),
-                              Value::number(u)});
+            table.rows.reserve(streams.size());
+            const CountTable *whole = overlap.find(0);
+            for (unsigned stream : streams) {
+                const sim::Tick covered = whole ? whole->find(stream) : 0;
+                table.emplaceRow(
+                    Value::str(names.stream(stream)), Value::str(state),
+                    Value::number(t1 > t0 ? static_cast<double>(covered) /
+                                                static_cast<double>(t1 - t0)
+                                          : 0.0));
             }
             return table;
         }
@@ -1058,16 +1137,19 @@ class UtilizationFold : public ShardMerge::Accumulator
             table.rows.reserve(static_cast<std::size_t>(last + 1) *
                                streams.size());
             for (std::int64_t k = 0; k <= last; ++k) {
-                const Coverage *window = coverageOf(k);
-                for (const auto &[stream, name] : streams)
-                    addWindowRow(table, k, name,
-                                 coveredIn(window, stream));
+                const CountTable *window = overlap.find(k);
+                for (unsigned stream : streams)
+                    addWindowRow(table, k, stream,
+                                 window ? window->find(stream) : 0);
             }
         } else {
-            for (const auto &[k, window] : overlap) {
-                for (const auto &[stream, covered] : window)
-                    addWindowRow(table, k,
-                                 context.dict->streamName(stream),
+            std::size_t rows = 0;
+            for (const auto &kv : overlap.tables)
+                rows += kv.second.size();
+            table.rows.reserve(rows);
+            for (const auto &[k, window] : overlap.tables) {
+                for (const auto &[stream, covered] : window.sorted())
+                    addWindowRow(table, k, static_cast<unsigned>(stream),
                                  covered);
             }
         }
@@ -1093,25 +1175,26 @@ class UtilizationFold : public ShardMerge::Accumulator
         for (std::int64_t k = sealed; k < ended; ++k) {
             if (!openTarget) {
                 // Only closed intervals: jump over empty windows.
-                const auto next = overlap.lower_bound(k);
-                if (next == overlap.end() || next->first >= ended)
+                const auto next = overlap.tables.lower_bound(k);
+                if (next == overlap.tables.end() || next->first >= ended)
                     break;
                 k = next->first;
             }
             const sim::Tick wlo = windower.startOf(k);
             const sim::Tick whi = wlo + windower.spec.size;
-            Coverage covered;
-            if (const Coverage *window = coverageOf(k))
+            CountTable covered;
+            if (const CountTable *window = overlap.find(k))
                 covered = *window;
             for (const auto &[stream, cur] : stitch.open()) {
                 if (cur.sid == targetSid && cur.since < whi)
-                    covered[stream] += whi - std::max(cur.since, wlo);
+                    covered.add(stream, whi - std::max(cur.since, wlo));
             }
-            if (covered.empty())
+            if (covered.size() == 0)
                 continue;
             Table rows = emptyWindowTable();
-            for (const auto &[stream, ticks] : covered)
-                addWindowRow(rows, k, context.dict->streamName(stream),
+            rows.rows.reserve(covered.size());
+            for (const auto &[stream, ticks] : covered.sorted())
+                addWindowRow(rows, k, static_cast<unsigned>(stream),
                              ticks);
             sink(rows);
         }
@@ -1119,10 +1202,6 @@ class UtilizationFold : public ShardMerge::Accumulator
     }
 
   private:
-    /** Covered ticks of the target state per stream in one window
-     *  (only nonzero entries). */
-    using Coverage = std::map<unsigned, sim::Tick>;
-
     static Table
     emptyWindowTable()
     {
@@ -1133,61 +1212,21 @@ class UtilizationFold : public ShardMerge::Accumulator
     }
 
     void
-    addWindowRow(Table &table, std::int64_t k, const std::string &name,
-                 sim::Tick covered) const
+    addWindowRow(Table &table, std::int64_t k, unsigned stream,
+                 sim::Tick covered)
     {
-        // Built in place: a dense table has a row per window and
-        // stream, and an initializer list would copy every cell.
-        std::vector<Value> row;
-        row.reserve(4);
-        row.push_back(
-            Value::number(sim::toMilliseconds(windower.startOf(k))));
-        row.push_back(Value::str(name));
-        row.push_back(Value::str(state));
-        row.push_back(Value::number(static_cast<double>(covered) /
-                                    static_cast<double>(
-                                        windower.spec.size)));
-        table.addRow(std::move(row));
-    }
-
-    const Coverage *
-    coverageOf(std::int64_t k) const
-    {
-        const auto it = overlap.find(k);
-        return it == overlap.end() ? nullptr : &it->second;
-    }
-
-    static sim::Tick
-    coveredIn(const Coverage *window, unsigned stream)
-    {
-        if (!window)
-            return 0;
-        const auto it = window->find(stream);
-        return it == window->end() ? 0 : it->second;
-    }
-
-    /** Window @p k's coverage, created on first use. Intervals
-     *  arrive in nearly ascending window order, so the last window
-     *  touched is kept at hand. */
-    Coverage &
-    windowCoverage(std::int64_t k)
-    {
-        if (recent == overlap.end() || recent->first != k)
-            recent = overlap.try_emplace(k).first;
-        return recent->second;
+        table.emplaceRow(
+            Value::number(sim::toMilliseconds(windower.startOf(k))),
+            Value::str(names.stream(stream)), Value::str(state),
+            Value::number(static_cast<double>(covered) /
+                          static_cast<double>(windower.spec.size)));
     }
 
     void
     addInterval(unsigned stream, std::uint16_t sid, sim::Tick begin,
                 sim::Tick end)
     {
-        if (stream >= flatStreamLimit) {
-            seenBig.insert(stream);
-        } else {
-            if (stream >= seenFlat.size())
-                seenFlat.resize(stream + 1);
-            seenFlat[stream] = 1;
-        }
+        seen.slotOf(stream);
         // An unknown target state compiles to noState, which no
         // tracked interval carries — zero utilization rows.
         if (sid != targetSid)
@@ -1199,7 +1238,7 @@ class UtilizationFold : public ShardMerge::Accumulator
             context.hasTo ? std::min(end, context.to) : end;
         if (!context.window) {
             if (hi > lo)
-                windowCoverage(0)[stream] += hi - lo;
+                overlap.at(0).add(stream, hi - lo);
             return;
         }
         const sim::Tick b = std::max(lo, windower.origin);
@@ -1209,15 +1248,15 @@ class UtilizationFold : public ShardMerge::Accumulator
         std::int64_t unused = 0;
         if (!windower.indicesOf(b, first, unused))
             return;
-        const std::int64_t lastTouched = windower.lastIndexBefore(hi);
-        for (std::int64_t k = first; k <= lastTouched; ++k) {
-            const sim::Tick wlo = windower.startOf(k);
-            const sim::Tick whi = wlo + windower.spec.size;
-            const sim::Tick a = std::max(lo, wlo);
-            const sim::Tick z = std::min(hi, whi);
-            if (z > a)
-                windowCoverage(k)[stream] += z - a;
-        }
+        overlap.forRange(
+            first, windower.lastIndexBefore(hi),
+            [&](std::int64_t k, CountTable &window) {
+                const sim::Tick wlo = windower.startOf(k);
+                const sim::Tick a = std::max(lo, wlo);
+                const sim::Tick z = std::min(hi, wlo + windower.spec.size);
+                if (z > a)
+                    window.add(stream, z - a);
+            });
     }
 
     FoldContext context;
@@ -1225,20 +1264,19 @@ class UtilizationFold : public ShardMerge::Accumulator
     std::uint16_t targetSid;
     StateStitch stitch;
     Windower windower;
-    /** Streams that produced an interval: flat flags below
-     *  flatStreamLimit, a set above it. */
-    std::vector<char> seenFlat;
-    std::set<unsigned> seenBig;
-    /** Window index -> coverage (unwindowed: window 0 only). */
-    std::map<std::int64_t, Coverage> overlap;
-    std::map<std::int64_t, Coverage>::iterator recent = overlap.end();
+    Names names;
+    /** Streams that produced an interval. */
+    SlotIndex seen;
+    /** Window index -> covered ticks of the target state per stream
+     *  (unwindowed: window 0 only). */
+    WindowSums overlap;
     /** Windows below this index were handed to a WindowSink. */
     std::int64_t sealed = 0;
 };
 
 // --------------------------------------------------------------- latency
 
-class LatencyFold : public ShardMerge::Accumulator
+class LatencyFold : public ShardMerge
 {
   public:
     LatencyFold(const FoldSpec &spec, const FoldContext &ctx)
@@ -1253,14 +1291,30 @@ class LatencyFold : public ShardMerge::Accumulator
         // last event an earlier shard saw, then the shard's own.
         // Gaps are exact tick differences, so the doubles pushed do
         // not depend on where the shard edges fall.
-        for (const auto &kv : static_cast<const LatencyShard &>(shard)
-                                  .streams) {
-            auto it = carryLast.find(kv.first);
-            if (it != carryLast.end())
-                pushGap(kv.first, kv.second.first - it->second);
-            for (sim::Tick gap : kv.second.gaps)
-                pushGap(kv.first, gap);
-            carryLast[kv.first] = kv.second.last;
+        const auto &s = static_cast<const LatencyShard &>(shard);
+        for (std::uint32_t i = 0; i < s.streams.size(); ++i) {
+            const LatencyShard::PerStream &in = s.streams[i];
+            const std::uint32_t slot = slots.slotOf(s.slots.idOf(i));
+            const bool carried = slot < streams.size();
+            if (!carried) {
+                streams.push_back({in.first, {}});
+                if (bins)
+                    hists.emplace_back(0.0, static_cast<double>(histMax),
+                                       bins);
+            }
+            PerStream &out = streams[slot];
+            sim::Histogram *hist = bins ? &hists[slot] : nullptr;
+            auto push = [&out, hist](sim::Tick ticks) {
+                const double gap = static_cast<double>(ticks);
+                out.stat.push(gap);
+                if (hist)
+                    hist->push(gap);
+            };
+            if (carried)
+                push(in.first - out.last);
+            for (sim::Tick gap : in.gaps)
+                push(gap);
+            out.last = in.last;
         }
     }
 
@@ -1268,73 +1322,73 @@ class LatencyFold : public ShardMerge::Accumulator
     finish() override
     {
         Table table;
+        const std::vector<std::uint32_t> order = slots.ascending();
         if (!bins) {
             table.columns = {"stream", "pairs",  "mean_ms",
                              "min_ms", "max_ms", "stddev_ms"};
-            for (const auto &kv : stats) {
-                const sim::SummaryStat &s = kv.second;
-                table.addRow(
-                    {Value::str(context.dict->streamName(kv.first)),
-                     Value::count(s.count()),
-                     Value::number(s.mean() * 1e-6),
-                     Value::number(s.min() * 1e-6),
-                     Value::number(s.max() * 1e-6),
-                     Value::number(s.stddev() * 1e-6)});
+            table.rows.reserve(streams.size());
+            for (std::uint32_t slot : order) {
+                const sim::SummaryStat &s = streams[slot].stat;
+                if (s.count() == 0)
+                    continue;
+                table.emplaceRow(
+                    Value::str(context.dict->streamName(slots.idOf(slot))),
+                    Value::count(s.count()), Value::number(s.mean() * 1e-6),
+                    Value::number(s.min() * 1e-6),
+                    Value::number(s.max() * 1e-6),
+                    Value::number(s.stddev() * 1e-6));
             }
             return table;
         }
+        // Every histogram has the same bins: one label and lower
+        // edge per bin, then the overflow bin.
+        const sim::Histogram shape(0.0, static_cast<double>(histMax),
+                                   bins);
+        std::vector<std::pair<std::string, double>> binCells;
+        for (std::size_t b = 0; b < shape.bins(); ++b)
+            binCells.emplace_back(std::to_string(b),
+                                  shape.binLower(b) * 1e-6);
+        binCells.emplace_back("overflow", sim::toMilliseconds(histMax));
         table.columns = {"stream", "bin", "lo_ms", "count"};
-        for (const auto &kv : hists) {
+        table.rows.reserve(streams.size() * binCells.size());
+        for (std::uint32_t slot : order) {
+            if (streams[slot].stat.count() == 0)
+                continue;
             const std::string name =
-                context.dict->streamName(kv.first);
-            const sim::Histogram &h = kv.second;
-            for (std::size_t b = 0; b < h.bins(); ++b) {
-                table.addRow({Value::str(name),
-                              Value::str(std::to_string(b)),
-                              Value::number(h.binLower(b) * 1e-6),
-                              Value::count(h.binCount(b))});
+                context.dict->streamName(slots.idOf(slot));
+            const sim::Histogram &h = hists[slot];
+            for (std::size_t b = 0; b < binCells.size(); ++b) {
+                table.emplaceRow(
+                    Value::str(name), Value::str(binCells[b].first),
+                    Value::number(binCells[b].second),
+                    Value::count(b < h.bins() ? h.binCount(b)
+                                              : h.overflow()));
             }
-            table.addRow(
-                {Value::str(name), Value::str("overflow"),
-                 Value::number(sim::toMilliseconds(histMax)),
-                 Value::count(h.overflow())});
         }
         return table;
     }
 
   private:
-    void
-    pushGap(unsigned stream, sim::Tick gapTicks)
+    /** One stream's merge state. */
+    struct PerStream
     {
-        const double gap = static_cast<double>(gapTicks);
-        stats[stream].push(gap);
-        if (bins) {
-            auto h = hists.find(stream);
-            if (h == hists.end()) {
-                h = hists
-                        .emplace(stream,
-                                 sim::Histogram(
-                                     0.0,
-                                     static_cast<double>(histMax),
-                                     bins))
-                        .first;
-            }
-            h->second.push(gap);
-        }
-    }
+        /** The last event of the shards absorbed so far. */
+        sim::Tick last;
+        sim::SummaryStat stat;
+    };
 
     FoldContext context;
     std::size_t bins = 0;
     sim::Tick histMax = 0;
-    /** The last event per stream of the shards absorbed so far. */
-    std::map<unsigned, sim::Tick> carryLast;
-    std::map<unsigned, sim::SummaryStat> stats;
-    std::map<unsigned, sim::Histogram> hists;
+    SlotIndex slots;
+    std::vector<PerStream> streams;
+    /** Per slot, when `bins` is set. */
+    std::vector<sim::Histogram> hists;
 };
 
 // ------------------------------------------------------------------- rtt
 
-class RttFold : public ShardMerge::Accumulator
+class RttFold : public ShardMerge
 {
   public:
     RttFold(const FoldSpec &spec, const FoldContext &ctx)
@@ -1372,14 +1426,13 @@ class RttFold : public ShardMerge::Accumulator
         table.columns = {"pairs",   "unmatched_begin",
                          "unmatched_end", "mean_ms", "min_ms",
                          "max_ms",  "stddev_ms"};
-        table.addRow(
-            {Value::count(stats.count()),
-             Value::count(pending.size() + duplicateBegins),
-             Value::count(unmatchedEnds),
-             Value::number(stats.mean() * 1e-6),
-             Value::number(stats.min() * 1e-6),
-             Value::number(stats.max() * 1e-6),
-             Value::number(stats.stddev() * 1e-6)});
+        table.emplaceRow(Value::count(stats.count()),
+                         Value::count(pending.size() + duplicateBegins),
+                         Value::count(unmatchedEnds),
+                         Value::number(stats.mean() * 1e-6),
+                         Value::number(stats.min() * 1e-6),
+                         Value::number(stats.max() * 1e-6),
+                         Value::number(stats.stddev() * 1e-6));
         return table;
     }
 
@@ -1495,45 +1548,22 @@ makeShardFold(const FoldSpec &spec, const FoldContext &ctx)
     return std::make_unique<CountShard>(ctx);
 }
 
-ShardMerge::ShardMerge(const FoldSpec &spec, const FoldContext &ctx)
+std::unique_ptr<ShardMerge>
+makeShardMerge(const FoldSpec &spec, const FoldContext &ctx)
 {
     switch (spec.kind) {
       case FoldKind::States:
-        acc = std::make_unique<StateAccumulator>(ctx);
-        return;
+        return std::make_unique<StateAccumulator>(ctx);
       case FoldKind::Utilization:
-        acc = std::make_unique<UtilizationFold>(spec, ctx);
-        return;
+        return std::make_unique<UtilizationFold>(spec, ctx);
       case FoldKind::Latency:
-        acc = std::make_unique<LatencyFold>(spec, ctx);
-        return;
+        return std::make_unique<LatencyFold>(spec, ctx);
       case FoldKind::Rtt:
-        acc = std::make_unique<RttFold>(spec, ctx);
-        return;
+        return std::make_unique<RttFold>(spec, ctx);
       case FoldKind::Count:
         break;
     }
-    acc = std::make_unique<CountFold>(ctx);
-}
-
-ShardMerge::~ShardMerge() = default;
-
-void
-ShardMerge::absorb(ShardFold &shard)
-{
-    acc->absorb(shard);
-}
-
-void
-ShardMerge::sealWindowsBefore(sim::Tick now, const WindowSink &sink)
-{
-    acc->sealWindowsBefore(now, sink);
-}
-
-Table
-ShardMerge::finish()
-{
-    return acc->finish();
+    return std::make_unique<CountFold>(ctx);
 }
 
 } // namespace query

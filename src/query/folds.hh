@@ -7,9 +7,13 @@
  * A one-shard run is the serial evaluation; the live
  * IncrementalEngine absorbs one shard per pushed batch.
  *
- * Memory: the merge holds only the aggregation state (per-key
- * counts, statistics, window overlaps, pending rtt begins, the
- * carried open state per stream). A shard additionally holds its
+ * Memory: the merge holds only the aggregation state, and that
+ * state is flat: integer sums (counts, covered ticks) in one
+ * open-addressing table per window that saw a key, per-stream
+ * statistics in vectors indexed by a dense stream slot, plus pending
+ * rtt begins and the carried open state per stream. Its memory is
+ * proportional to the keys it holds, not to the largest stream id
+ * or the windows a silence spans. A shard additionally holds its
  * slice's closed state intervals (`states`, `utilization`) or its
  * buffered accepted events (windowed `count`, `latency` gaps, `rtt`)
  * until it is absorbed, so a file query's peak memory grows with
@@ -25,11 +29,13 @@
 #ifndef QUERY_FOLDS_HH
 #define QUERY_FOLDS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "query/query.hh"
@@ -119,6 +125,59 @@ class TokenSet
 };
 
 /**
+ * A value per stream id, the one per-stream table of the query
+ * engine: flat below 2^16 ids, hashed above (a hostile trace can
+ * carry any 32-bit id), so the common lookup is a bounds check and
+ * one load. An id reads as `unset` until written.
+ */
+template <typename T>
+class StreamTable
+{
+  public:
+    explicit StreamTable(T unset_value = T()) : unset(unset_value) {}
+
+    /** @p id's value, created as `unset` on first use. */
+    T &
+    operator[](unsigned id)
+    {
+        return id < flat.size() ? flat[id] : grow(id);
+    }
+
+    /** Visit (id, value) of every id below the flat table's size,
+     *  ascending, then of every hashed id. */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (unsigned id = 0; id < flat.size(); ++id)
+            f(id, flat[id]);
+        for (const auto &kv : big)
+            f(kv.first, kv.second);
+    }
+
+  private:
+    static constexpr unsigned flatLimit = 1u << 16;
+
+    /** Off the fast path (out of line, so operator[] inlines into
+     *  per-event loops). */
+    [[gnu::noinline]] T &
+    grow(unsigned id)
+    {
+        if (id >= flatLimit)
+            return big.try_emplace(id, unset).first->second;
+        flat.resize(std::min<std::size_t>(
+                        std::max<std::size_t>(id + 1, flat.size() * 2),
+                        flatLimit),
+                    unset);
+        return flat[id];
+    }
+
+    T unset;
+    std::vector<T> flat;
+    std::unordered_map<unsigned, T> big;
+};
+
+/**
  * Per-shard partial aggregation state for sharded query execution.
  *
  * A shard fold consumes one contiguous, already-filtered slice of
@@ -139,7 +198,9 @@ class TokenSet
  * table that does not depend on where the shard edges fall — the
  * same doubles, not approximately equal, for any shard count —
  * because every floating-point accumulation is replayed in trace
- * order while integer aggregates merge by (order-free) addition.
+ * order while integer aggregates merge by (order-free) addition,
+ * in per-window sum tables beside per-stream accumulators in dense
+ * stream slots (memory proportional to the keys held).
  * tests/query/test_crosscheck.cpp, tests/parallel/test_sharded_query.cpp
  * and tests/parallel/test_property_sharded.cpp lock this contract
  * for every fold kind and shard count.
@@ -194,12 +255,12 @@ std::unique_ptr<ShardFold> makeShardFold(const FoldSpec &spec,
 
 /**
  * The in-order merge of one query's shard partials, and the only
- * producer of its result table. absorb() takes the partials of
- * makeShardFold() (same spec and context) in trace order; the merge
- * carries the boundary state between them — the open state per
- * stream, the last event per stream for `latency`, the pending
- * begins of `rtt`, the window origin — so a shard may be dropped as
- * soon as it is absorbed.
+ * producer of its result table (one implementation per fold kind).
+ * absorb() takes the partials of makeShardFold() (same spec and
+ * context) in trace order; the merge carries the boundary state
+ * between them — the open state per stream, the last event per
+ * stream for `latency`, the pending begins of `rtt`, the window
+ * origin — so a shard may be dropped as soon as it is absorbed.
  */
 class ShardMerge
 {
@@ -207,12 +268,11 @@ class ShardMerge
     /** Receives the rows of one finalized window. */
     using WindowSink = std::function<void(const Table &)>;
 
-    ShardMerge(const FoldSpec &spec, const FoldContext &ctx);
-    ~ShardMerge();
+    virtual ~ShardMerge() = default;
 
     /** Absorb the next shard in trace order; the shard is not needed
      *  afterwards. */
-    void absorb(ShardFold &shard);
+    virtual void absorb(ShardFold &shard) = 0;
 
     /**
      * Live preview of a time-ordered stream whose absorbed events
@@ -222,18 +282,21 @@ class ShardMerge
      * will render it. Only fixed-window `count` and `utilization`
      * know rows this early; the other shapes hand out nothing.
      */
-    void sealWindowsBefore(sim::Tick now, const WindowSink &sink);
+    virtual void
+    sealWindowsBefore(sim::Tick now, const WindowSink &sink)
+    {
+        (void)now;
+        (void)sink;
+    }
 
     /** End of stream: close carried open states and build the table;
      *  call once. */
-    Table finish();
-
-    /** The per-fold-kind merge state (defined in folds.cc). */
-    class Accumulator;
-
-  private:
-    std::unique_ptr<Accumulator> acc;
+    virtual Table finish() = 0;
 };
+
+/** Instantiate the merge of @p spec's shard partials. */
+std::unique_ptr<ShardMerge> makeShardMerge(const FoldSpec &spec,
+                                           const FoldContext &ctx);
 
 /**
  * Resolve a token pattern (event name glob, decimal, or 0x-hex

@@ -11,7 +11,7 @@ IncrementalEngine::IncrementalEngine(
     const Query &query, const trace::EventDictionary &dict,
     RowCallback on_rows, sim::Tick trace_end)
     : spec(query.fold), context(makeFoldContext(query, dict, trace_end)),
-      chain(query, dict), merge(spec, context),
+      chain(query, dict), merge(makeShardMerge(spec, context)),
       onRows(std::move(on_rows))
 {
     const bool fixedWindow =
@@ -32,14 +32,14 @@ IncrementalEngine::onBatch(const trace::TraceEvent *events,
     const auto shard = makeShardFold(spec, context);
     shard->reserveHint(kept);
     shard->onBatch(accepted.data(), kept);
-    merge.absorb(*shard);
+    merge->absorb(*shard);
     if (live && onRows) {
         const auto latest = std::max_element(
             accepted.begin(), accepted.begin() + kept,
             [](const trace::TraceEvent &a, const trace::TraceEvent &b) {
                 return a.timestamp < b.timestamp;
             });
-        merge.sealWindowsBefore(latest->timestamp, onRows);
+        merge->sealWindowsBefore(latest->timestamp, onRows);
     }
 }
 

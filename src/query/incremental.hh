@@ -71,7 +71,7 @@ class IncrementalEngine
     Table
     finish()
     {
-        return merge.finish();
+        return merge->finish();
     }
 
     /** Does this query shape emit finalized rows mid-stream? */
@@ -85,7 +85,7 @@ class IncrementalEngine
     FoldSpec spec;
     FoldContext context;
     FilterChain chain;
-    ShardMerge merge;
+    std::unique_ptr<ShardMerge> merge;
     RowCallback onRows;
     bool live = false;
     /** The pushed batch's filter survivors. */

@@ -65,22 +65,6 @@ parseUnsigned(const std::string &text, std::uint64_t &value)
     return end && *end == '\0';
 }
 
-/** "N" or "a-b" into an inclusive range. */
-bool
-parseRange(const std::string &text, std::uint64_t &lo,
-           std::uint64_t &hi)
-{
-    const auto dash = text.find('-');
-    if (dash == std::string::npos) {
-        if (!parseUnsigned(text, lo))
-            return false;
-        hi = lo;
-        return true;
-    }
-    return parseUnsigned(text.substr(0, dash), lo) &&
-           parseUnsigned(text.substr(dash + 1), hi) && lo <= hi;
-}
-
 ParseResult
 fail(const std::string &message)
 {
@@ -108,18 +92,13 @@ parseFilter(const std::vector<std::string> &words, FilterSpec &spec,
             spec.streamPatterns.push_back(value);
         } else if (key == "token") {
             spec.tokenPatterns.push_back(value);
-        } else if (key == "from") {
-            if (!parseTime(value, spec.from)) {
+        } else if (key == "from" || key == "to") {
+            const bool from = key == "from";
+            if (!parseTime(value, from ? spec.from : spec.to)) {
                 error = "filter: bad time '" + value + "'";
                 return false;
             }
-            spec.hasFrom = true;
-        } else if (key == "to") {
-            if (!parseTime(value, spec.to)) {
-                error = "filter: bad time '" + value + "'";
-                return false;
-            }
-            spec.hasTo = true;
+            (from ? spec.hasFrom : spec.hasTo) = true;
         } else if (key == "param") {
             std::uint64_t lo = 0;
             std::uint64_t hi = 0;
@@ -166,18 +145,10 @@ parseFold(const std::vector<std::string> &words, FoldSpec &spec,
           std::string &error)
 {
     const std::string &kind = words[0];
-    if (kind == "count") {
-        spec.kind = FoldKind::Count;
+    if (kind == "count" || kind == "states") {
+        spec.kind = kind == "count" ? FoldKind::Count : FoldKind::States;
         if (words.size() > 1) {
-            error = "count takes no options";
-            return false;
-        }
-        return true;
-    }
-    if (kind == "states") {
-        spec.kind = FoldKind::States;
-        if (words.size() > 1) {
-            error = "states takes no options";
+            error = kind + " takes no options";
             return false;
         }
         return true;
@@ -288,6 +259,21 @@ parseTime(const std::string &text, sim::Tick &ticks)
         return false;
     ticks = static_cast<sim::Tick>(value * scale + 0.5);
     return true;
+}
+
+bool
+parseRange(const std::string &text, std::uint64_t &lo,
+           std::uint64_t &hi)
+{
+    const auto dash = text.find('-');
+    if (dash == std::string::npos) {
+        if (!parseUnsigned(text, lo))
+            return false;
+        hi = lo;
+        return true;
+    }
+    return parseUnsigned(text.substr(0, dash), lo) &&
+           parseUnsigned(text.substr(dash + 1), hi) && lo <= hi;
 }
 
 ParseResult

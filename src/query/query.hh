@@ -129,6 +129,10 @@ bool globMatch(const std::string &pattern, const std::string &text);
  */
 bool parseTime(const std::string &text, sim::Tick &ticks);
 
+/** Parse "N" or "a-b" (decimal, a <= b) into an inclusive range. */
+bool parseRange(const std::string &text, std::uint64_t &lo,
+                std::uint64_t &hi);
+
 } // namespace query
 } // namespace supmon
 

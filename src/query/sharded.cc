@@ -55,12 +55,12 @@ Table
 mergePartials(const FoldSpec &spec, const FoldContext &ctx,
               std::vector<std::unique_ptr<ShardFold>> &partials)
 {
-    ShardMerge merge(spec, ctx);
+    const auto merge = makeShardMerge(spec, ctx);
     for (auto &partial : partials) {
-        merge.absorb(*partial);
+        merge->absorb(*partial);
         partial.reset();
     }
-    return merge.finish();
+    return merge->finish();
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace supmon
@@ -80,10 +81,15 @@ struct Table
     std::vector<std::string> columns;
     std::vector<std::vector<Value>> rows;
 
+    /** Append a row built in place from @p cells (moved in, where an
+     *  initializer list would copy each one). */
+    template <typename... Cells>
     void
-    addRow(std::vector<Value> row)
+    emplaceRow(Cells &&...cells)
     {
-        rows.push_back(std::move(row));
+        std::vector<Value> &row = rows.emplace_back();
+        row.reserve(sizeof...(cells));
+        (row.push_back(std::forward<Cells>(cells)), ...);
     }
 
     /** Column-aligned plain text with a header row. */

@@ -15,7 +15,9 @@
  * shard-count checks compare the pipeline only with itself. Two more
  * checks hold its one-shard tables on the same random traces against
  * oracles outside src/query: trace::ActivityMap for `states` and
- * `utilization`, a direct (stream, token) map for `count`. A third
+ * `utilization`, a direct (stream, token) map for `count`, a direct
+ * (window, stream, token) map for windowed `count` and per-stream
+ * sim::SummaryStat / sim::Histogram pushes for `latency`. Another
  * pushes the traces through IncrementalEngine in random-size batches
  * (every batch is one shard of the live merge).
  *
@@ -29,6 +31,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "query/engine.hh"
@@ -36,6 +39,7 @@
 #include "query/sharded.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/stats.hh"
 #include "trace/activity.hh"
 #include "trace/io.hh"
 #include "temp_dir.hh"
@@ -564,6 +568,176 @@ TEST(PropertySharded, IncrementalBatchesMatchRunQueryOnRandomTraces)
                         << "utilization partial missing from the "
                            "final table, seed "
                         << seed << ": " << row;
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** A token's display name as the tables render it. */
+std::string
+tokenLabel(const trace::EventDictionary &dict, std::uint16_t token)
+{
+    const trace::EventDef *def = dict.find(token);
+    return def ? def->name : sim::strprintf("0x%04x", token);
+}
+
+} // namespace
+
+/**
+ * One-shard windowed `count` against a (window, stream, token) map
+ * built here from the window definition: window k covers
+ * [origin + k*step, origin + k*step + size), the origin is the first
+ * accepted event or an explicit `from`. Tumbling, sliding and
+ * anchored windows on the 60 random traces; a bug every shard count
+ * shares passes the shard-count checks but not this one.
+ */
+TEST(PropertySharded, WindowedCountMatchesDirectWindowMapOnRandomTraces)
+{
+    const auto dict = testDictionary();
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        sim::Random rng(sim::deriveSeed(20260809, seed));
+        const auto events = randomTrace(rng);
+        if (events.empty())
+            continue;
+        // Sizes scale with the span (the traces jump by up to 2^33
+        // ticks): 10 to 400 windows.
+        const sim::Tick first = events.front().timestamp;
+        const sim::Tick span = events.back().timestamp - first + 1;
+        const sim::Tick size = span / rng.uniformInt(10, 400) + 1;
+        const struct
+        {
+            const char *name;
+            sim::Tick step;
+            bool anchored;
+        } shapes[] = {
+            {"tumbling", size, false},
+            {"sliding", size / rng.uniformInt(2, 5) + 1, false},
+            {"anchored", size, true},
+        };
+        for (const auto &shape : shapes) {
+            query::Query q;
+            q.window = query::WindowSpec{size, shape.step};
+            sim::Tick origin = first;
+            if (shape.anchored) {
+                query::FilterSpec from;
+                from.hasFrom = true;
+                from.from = first + rng.uniformInt(0, span / 2);
+                q.filters.push_back(from);
+                origin = from.from;
+            }
+            std::map<std::tuple<std::uint64_t, unsigned, std::uint16_t>,
+                     std::uint64_t>
+                direct;
+            for (const auto &ev : events) {
+                if (ev.timestamp < origin)
+                    continue;
+                const sim::Tick at = ev.timestamp - origin;
+                for (std::uint64_t k = at / shape.step;
+                     k * shape.step + size > at; --k) {
+                    ++direct[{k, ev.stream, ev.token}];
+                    if (k == 0)
+                        break;
+                }
+            }
+            const auto table = query::runQuery(events, dict, q);
+            ASSERT_EQ(table.rows.size(), direct.size())
+                << "seed " << seed << ", " << shape.name;
+            std::size_t r = 0;
+            for (const auto &[key, n] : direct) {
+                const auto &[k, stream, token] = key;
+                const auto &row = table.rows[r++];
+                if (row[0].real ==
+                        sim::toMilliseconds(origin + k * shape.step) &&
+                    row[1].text == dict.streamName(stream) &&
+                    row[2].text == tokenLabel(dict, token) &&
+                    row[3].integer == n)
+                    continue;
+                ADD_FAILURE() << "seed " << seed << ", " << shape.name
+                              << ", row " << r - 1 << ": window " << k
+                              << " stream " << stream << " token "
+                              << token << " count " << n << " vs "
+                              << row[0].real << " " << row[1].text << " "
+                              << row[2].text << " " << row[3].integer;
+                break;
+            }
+        }
+    }
+}
+
+/**
+ * One-shard `latency`, plain and with `bins=`, against per-stream
+ * sim::SummaryStat and sim::Histogram pushes of the gaps between a
+ * stream's consecutive events, streams ascending.
+ */
+TEST(PropertySharded, LatencyMatchesPerStreamStatsOnRandomTraces)
+{
+    const auto dict = testDictionary();
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        sim::Random rng(sim::deriveSeed(20260809, seed));
+        const auto events = randomTrace(rng);
+        const std::size_t bins =
+            static_cast<std::size_t>(rng.uniformInt(1, 16));
+        const sim::Tick histMax = rng.uniformInt(100, 100000);
+        std::map<unsigned, sim::Tick> last;
+        std::map<unsigned, sim::SummaryStat> stats;
+        std::map<unsigned, sim::Histogram> hists;
+        for (const auto &ev : events) {
+            const auto it = last.find(ev.stream);
+            if (it != last.end()) {
+                const double gap =
+                    static_cast<double>(ev.timestamp - it->second);
+                stats[ev.stream].push(gap);
+                hists
+                    .try_emplace(ev.stream, 0.0,
+                                 static_cast<double>(histMax), bins)
+                    .first->second.push(gap);
+            }
+            last[ev.stream] = ev.timestamp;
+        }
+
+        query::Query plain;
+        plain.fold.kind = query::FoldKind::Latency;
+        const auto table = query::runQuery(events, dict, plain);
+        ASSERT_EQ(table.rows.size(), stats.size()) << "seed " << seed;
+        std::size_t r = 0;
+        for (const auto &[stream, s] : stats) {
+            const auto &row = table.rows[r++];
+            EXPECT_EQ(row[0].text, dict.streamName(stream))
+                << "seed " << seed;
+            EXPECT_EQ(row[1].integer, s.count()) << "seed " << seed;
+            EXPECT_EQ(row[2].real, s.mean() * 1e-6) << "seed " << seed;
+            EXPECT_EQ(row[3].real, s.min() * 1e-6) << "seed " << seed;
+            EXPECT_EQ(row[4].real, s.max() * 1e-6) << "seed " << seed;
+            EXPECT_EQ(row[5].real, s.stddev() * 1e-6)
+                << "seed " << seed;
+        }
+
+        query::Query binned = plain;
+        binned.fold.bins = bins;
+        binned.fold.histMax = histMax;
+        const auto histTable = query::runQuery(events, dict, binned);
+        ASSERT_EQ(histTable.rows.size(), hists.size() * (bins + 1))
+            << "seed " << seed;
+        r = 0;
+        for (const auto &[stream, h] : hists) {
+            for (std::size_t b = 0; b <= bins; ++b) {
+                const auto &row = histTable.rows[r++];
+                const bool over = b == bins;
+                EXPECT_EQ(row[0].text, dict.streamName(stream))
+                    << "seed " << seed;
+                EXPECT_EQ(row[1].text,
+                          over ? "overflow" : std::to_string(b))
+                    << "seed " << seed;
+                EXPECT_EQ(row[2].real, over ? sim::toMilliseconds(histMax)
+                                            : h.binLower(b) * 1e-6)
+                    << "seed " << seed;
+                EXPECT_EQ(row[3].integer,
+                          over ? h.overflow() : h.binCount(b))
+                    << "seed " << seed << ", stream " << stream
+                    << ", bin " << b;
             }
         }
     }

@@ -364,9 +364,8 @@ TEST(QueryEngine, TableRenderers)
 {
     query::Table table;
     table.columns = {"stream", "count", "share"};
-    table.addRow({query::Value::str("SERVANT 0, A"),
-                  query::Value::count(3),
-                  query::Value::number(0.5)});
+    table.emplaceRow(query::Value::str("SERVANT 0, A"),
+                     query::Value::count(3), query::Value::number(0.5));
 
     const std::string csv = table.toCsv();
     EXPECT_NE(csv.find("stream,count,share"), std::string::npos);

@@ -78,6 +78,17 @@ def render(query, reader, faults, live, sim):
             mevents(query, "rtt_events_per_sec"),
         ),
         "",
+        "Many streams (1M events over 4,096 streams with ids 8 apart,"
+        " one shard, M events/s):",
+        "",
+        "| `states` | `latency bins=50` | `window 100ms | count` |",
+        "|---|---|---|",
+        "| {} | {} | {} |".format(
+            mevents(query, "many_streams_states_events_per_sec"),
+            mevents(query, "many_streams_latency_events_per_sec"),
+            mevents(query, "many_streams_window_count_events_per_sec"),
+        ),
+        "",
         "Raw decode (no query): {} M records/s with `nextBatch()`, "
         "{}x over the old per-record reader.".format(
             mevents(reader, "block_next_batch_events_per_sec"),
@@ -125,6 +136,7 @@ def render(query, reader, faults, live, sim):
     rows = [r.replace("filter ... | count", "filter ... \\| count")
              .replace("window 100us | utilization",
                       "window 100us \\| utilization")
+             .replace("window 100ms | count", "window 100ms \\| count")
             for r in rows]
     return "\n".join(rows)
 
